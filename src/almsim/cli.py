@@ -84,7 +84,11 @@ CONFIG_SCHEMA = {
 
 
 class _StrictWarning(RuntimeError):
-    pass
+    """A numerical tolerance miss after the command wrote its artifacts."""
+
+    def __init__(self, message, artifacts):
+        super().__init__(message)
+        self.artifacts = artifacts
 
 
 def _load_model(cfg):
@@ -166,9 +170,11 @@ def _cmd_limit(spec, num, seed, outdir):
     x.to_csv(outdir / "xpath.csv")
     with open(outdir / "picard.json", "w") as fh:
         fh.write(report.to_json(indent=2))
+    artifacts = ["xpath.csv", "picard.json"]
     if not report.converged:
-        raise _StrictWarning("fixed-point iteration did not reach tolerance")
-    return ["xpath.csv", "picard.json"]
+        raise _StrictWarning("fixed-point iteration did not reach tolerance",
+                             artifacts)
+    return artifacts
 
 
 def _cmd_pde(spec, num, seed, outdir):
@@ -186,10 +192,11 @@ def _cmd_pde(spec, num, seed, outdir):
             "scale_trace": [float(v) for v in sol.scale_trace],
             "clip_mass": float(sol.clip_mass),
         }, fh, indent=2, sort_keys=True)
+    artifacts = ["density.csv", "xpath.csv", "diagnostics.json"]
     worst = float(np.max(np.abs(sol.mass_trace - 1.0)))
     if worst > 1e-3:
-        raise _StrictWarning(f"mass drift {worst:.2e} exceeds 1e-3")
-    return ["density.csv", "xpath.csv", "diagnostics.json"]
+        raise _StrictWarning(f"mass drift {worst:.2e} exceeds 1e-3", artifacts)
+    return artifacts
 
 
 def _cmd_pathint(spec, num, seed, outdir):
@@ -290,10 +297,9 @@ def run(config_path, seed_override=None, out_override=None, strict=False,
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except _StrictWarning as exc:
-        # partial artifacts may exist; a strict run treats the warning as fatal
+        # the artifacts are complete; a strict run treats the warning as fatal
         strict_msg = str(exc)
-        artifacts = [p.name for p in sorted(outdir.iterdir())
-                     if p.name != "manifest.json"]
+        artifacts = exc.artifacts
     except (mdl.ConfigurationError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -110,26 +110,44 @@ def _simulate_events(spec, ts, xvals, cand_t, cand_u, a0, m0):
     return acc_t, acc_m, acc_cnt
 
 
-def _states_at(spec, acc_t, acc_m, acc_cnt, a0, times):
-    """Ages and memories of every particle at the requested times."""
+def _candidate_stream(spec, n, T, seed):
+    """Initial states and per-particle candidate times and uniforms on
+    common-random-number streams 0, 1 and 2; times past T are inf."""
+    a0, m0 = spec.init_law.sample(common_random_numbers_stream(seed, 0), n)
+    n_cand = _candidate_budget(spec.f_max, T)
+    gaps = common_random_numbers_stream(seed, 1).exponential(1.0 / spec.f_max,
+                                                            size=(n, n_cand))
+    cand_t = np.cumsum(gaps, axis=1)
+    cand_u = common_random_numbers_stream(seed, 2).random((n, n_cand))
+    cand_t[cand_t > T] = np.inf
+    return a0, m0, cand_t, cand_u
+
+
+def _walk_slots(spec, acc_t, acc_m, acc_cnt, a0, times):
+    """Yields, slot by slot, the (particle, time) index pairs that fall in
+    the slot and the ages and memories there."""
     n = acc_t.shape[0]
-    d = acc_m.shape[2]
     lam = spec.lam
-    times = np.asarray(times, dtype=float)
-    S = times.shape[0]
-    ages = np.zeros((n, S))
-    mems = np.zeros((n, S, d))
-    kmax = int(acc_cnt.max())
     nxt = np.concatenate([acc_t[:, 1:], np.full((n, 1), np.inf)], axis=1)
-    for k in range(kmax):
+    for k in range(int(acc_cnt.max())):
         sel = (acc_t[:, k, None] <= times[None, :]) & (times[None, :] < nxt[:, k, None])
         pi, gi = np.nonzero(sel)
         if pi.size == 0:
             continue
         rel = times[gi] - acc_t[pi, k]
         a = rel + (a0[pi] if k == 0 else 0.0)
+        yield pi, gi, a, acc_m[pi, k] * np.exp(-lam[None, :] * rel[:, None])
+
+
+def _states_at(spec, acc_t, acc_m, acc_cnt, a0, times):
+    """Ages and memories of every particle at the requested times."""
+    times = np.asarray(times, dtype=float)
+    n, S = acc_t.shape[0], times.shape[0]
+    ages = np.zeros((n, S))
+    mems = np.zeros((n, S, acc_m.shape[2]))
+    for pi, gi, a, m in _walk_slots(spec, acc_t, acc_m, acc_cnt, a0, times):
         ages[pi, gi] = a
-        mems[pi, gi] = acc_m[pi, k] * np.exp(-lam[None, :] * rel[:, None])
+        mems[pi, gi] = m
     return ages, mems
 
 
@@ -143,18 +161,8 @@ def solve_x_picard(spec: mdl.ModelSpec, T: float, dt=None, n_particles=20_000,
     G = int(round(T / dt))
     ts = np.arange(G + 1) * dt
     n = n_particles
-    d = spec.d
-    lam = spec.lam
     h = spec.h
-
-    r_init = common_random_numbers_stream(seed, 0)
-    a0, m0 = spec.init_law.sample(r_init, n)
-    n_cand = _candidate_budget(spec.f_max, T)
-    gaps = common_random_numbers_stream(seed, 1).exponential(1.0 / spec.f_max,
-                                                            size=(n, n_cand))
-    cand_t = np.cumsum(gaps, axis=1)
-    cand_u = common_random_numbers_stream(seed, 2).random((n, n_cand))
-    cand_t[cand_t > T] = np.inf
+    a0, m0, cand_t, cand_u = _candidate_stream(spec, n, T, seed)
 
     hbar = np.asarray(spec.Hbar(ts), dtype=float)
     kv = np.asarray(mdl.kernel_eval(h, ts), dtype=float)
@@ -169,20 +177,11 @@ def solve_x_picard(spec: mdl.ModelSpec, T: float, dt=None, n_particles=20_000,
         else:
             acc_t, acc_m, acc_cnt = _simulate_events(spec, ts, x, cand_t, cand_u, a0, m0)
             q = np.zeros(G + 1)
-            kmax = int(acc_cnt.max())
-            nxt = np.concatenate([acc_t[:, 1:], np.full((n, 1), np.inf)], axis=1)
-            for k in range(kmax):
-                sel = (acc_t[:, k, None] <= ts[None, :]) & (ts[None, :] < nxt[:, k, None])
-                pi, gi = np.nonzero(sel)
-                if pi.size == 0:
-                    continue
-                rel = ts[gi] - acc_t[pi, k]
-                a = rel + (a0[pi] if k == 0 else 0.0)
-                m = acc_m[pi, k] * np.exp(-lam[None, :] * rel[:, None])
+            for _, gi, a, m in _walk_slots(spec, acc_t, acc_m, acc_cnt, a0, ts):
                 val = (np.asarray(mdl.modulation_eval(h, a, m), dtype=float)
                        * np.asarray(spec.intensity(a, m, x[gi]), dtype=float))
                 np.add.at(q, gi, val)
-            # grid point T belongs to the last slot via the < inf guard above;
+            # grid point T belongs to the last slot via _walk_slots' < inf guard;
             # the t = T sample can fall on no slot only if an event sits at T
             q /= n
             conv = np.convolve(q, kv)[:G + 1]
@@ -215,14 +214,7 @@ def simulate_limit_process(spec: mdl.ModelSpec, x: XPath, n: int, seed: int,
     T = float(save_times[-1])
     if x.grid[-1] < T - 1e-12:
         raise ValueError("x path does not cover the requested horizon")
-    r_init = common_random_numbers_stream(seed, 0)
-    a0, m0 = spec.init_law.sample(r_init, n)
-    n_cand = _candidate_budget(spec.f_max, T)
-    gaps = common_random_numbers_stream(seed, 1).exponential(1.0 / spec.f_max,
-                                                            size=(n, n_cand))
-    cand_t = np.cumsum(gaps, axis=1)
-    cand_u = common_random_numbers_stream(seed, 2).random((n, n_cand))
-    cand_t[cand_t > T] = np.inf
+    a0, m0, cand_t, cand_u = _candidate_stream(spec, n, T, seed)
     xg = np.asarray(x.grid, dtype=float)
     xv = np.asarray(x.values, dtype=float)
     acc_t, acc_m, acc_cnt = _simulate_events(spec, xg, xv, cand_t, cand_u, a0, m0)

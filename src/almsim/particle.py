@@ -3,13 +3,16 @@
 One global exponential candidate clock runs at rate N*f_max; each candidate
 picks a uniform neuron and is accepted with probability f/f_max evaluated at
 the pre-candidate state.  Between candidates ages grow linearly and memories
-decay by exp(-Lambda*dt), both advanced lazily per neuron.
+decay by exp(-Lambda*dt), both advanced lazily per neuron.  One loop,
+_thin, runs this clock for every simulator here; each passes it the
+per-candidate step of its own state form.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,19 +20,23 @@ import numpy as np
 from . import model as mdl
 
 EVENT_CAP_DEFAULT = 10_000_000
-
-_validated_cache = {}
+_ASSUMPTION_CACHE_SIZE = 64
+_validated_cache = OrderedDict()
 
 
 def _ensure_assumptions(spec: mdl.ModelSpec):
     try:
         key = spec.spec_hash()
     except mdl.ConfigurationError:
-        key = id(spec)
-    if key not in _validated_cache:
+        # custom callables: keyed by the spec itself, which the cache holds,
+        # so no later object can take its id while its verdict is cached
+        key = spec
+    report = _validated_cache.pop(key, None)
+    if report is None:
         report = mdl.validate_assumptions(spec, n_samples=4000, seed=1234)
-        _validated_cache[key] = report
-    report = _validated_cache[key]
+    _validated_cache[key] = report
+    if len(_validated_cache) > _ASSUMPTION_CACHE_SIZE:
+        _validated_cache.popitem(last=False)
     if not report.all_pass:
         bad = [k for k, v in report.passes.items() if not v]
         raise mdl.ConfigurationError(f"model fails assumption checks: {bad}")
@@ -75,6 +82,9 @@ class _XTrace:
         self.spec = spec
         self.N = N
         self.H_params = H_params
+        # spec.H_emp_mean(H_params, t), with the O(N) mean taken once per run
+        self.h_mean = float(np.mean(H_params))
+        self.h_rate = spec.lam[0] if spec.H.family == "exp-decay-from-M0" else None
         self.kernel = spec.h.kernel
         self.tau = spec.h.tau
         self.J = spec.h.J
@@ -86,7 +96,9 @@ class _XTrace:
         self._horizon = spec.h.tau
 
     def value(self, t):
-        he = self.spec.H_emp_mean(self.H_params, t)
+        he = self.h_mean
+        if self.h_rate is not None:
+            he = he * math.exp(-self.h_rate * t)
         if self.J == 0.0:
             return he
         dt = t - self.t
@@ -122,6 +134,8 @@ class _XTrace:
 
 def _scalar_modulation(spec):
     h = spec.h
+    if spec.d > 1:
+        return lambda a, m: float(mdl.modulation_eval(h, a, m))
     if h.modulation == "none":
         return lambda a, m: 1.0
     if h.modulation == "linear-in-m":
@@ -130,7 +144,11 @@ def _scalar_modulation(spec):
 
 
 def make_scalar_intensity(spec: mdl.ModelSpec):
-    """Pure-python intensity closure for d=1 hot loops."""
+    """Intensity closure for one neuron's state in the thinning loops: pure
+    python on a float memory when d = 1, spec.intensity on a (d,) memory
+    otherwise."""
+    if spec.d > 1:
+        return spec.intensity
     f = spec.f
     lo, hi = f.f_min, f.f_max - f.f_min
     K, kap = spec.psi.K, spec.psi.kappa
@@ -156,15 +174,94 @@ def make_scalar_intensity(spec: mdl.ModelSpec):
     return fn
 
 
+def _broadcast_const(v):
+    return float(v[0]) if len(v) == 1 else np.asarray(v, dtype=float)
+
+
 def make_scalar_jump(j: mdl.JumpSpec):
+    """gamma for one neuron's memory: a float when d = 1, a (d,) array
+    otherwise.  The constants broadcast as in mdl.jump_apply, so either
+    form gives its numbers; a custom map is applied to a batch of one."""
     if j.family == "translation":
-        a0 = j.alpha_vec[0]
+        a0 = _broadcast_const(j.alpha_vec)
         return lambda m: m + a0
     if j.family == "affine-contraction":
-        off = float(j.offset_vec(1)[0])
+        off = _broadcast_const(j.offset_vec(1))
         c = 1.0 - j.alpha
         return lambda m: off + c * m
-    return lambda m: float(mdl.jump_apply(j, np.asarray([m]))[0])
+    return lambda m: mdl.jump_apply(j, np.asarray([m]))[0]
+
+
+def _memory_decay(spec, mems0):
+    """The lazily decayed memory array and decay(m, el) = m exp(-Lambda el)
+    for one row of it: python floats through math.exp when d = 1, (d,) rows
+    through np.exp otherwise."""
+    if spec.d == 1:
+        nl = -float(spec.lam[0])
+        return mems0[:, 0].copy(), lambda m, el: m * math.exp(nl * el)
+    nl = -spec.lam
+    return mems0.copy(), lambda m, el: m * np.exp(nl * el)
+
+
+def _start(spec, N, seed, spawn_key=()):
+    """Generator, initial ages and memories and the signal trace: the draws
+    every simulator makes before its first candidate."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
+    ages0, mems0 = spec.init_law.sample(rng, N)
+    trace = _XTrace(spec, N, spec.sample_H_params(rng, N, mems0))
+    return rng, ages0, mems0, trace
+
+
+def _thin(rng, N, fmax, T, step, save_times=(), snapshot=None,
+          event_cap=math.inf):
+    """Ogata thinning on [0, T] against one dominating clock of rate N*fmax.
+
+    Each candidate draws its exponential gap, its uniform neuron and its
+    uniform u, in that order; step(t, i, u*fmax) returns the EventRecord of
+    an accepted candidate, None otherwise.  snapshot(ts) runs at each save
+    time ts before the first candidate past it.  Returns the event log and
+    raises RuntimeError once it holds more than event_cap events.
+    """
+    scale = 1.0 / (N * fmax)
+    events = []
+    save_idx = 0
+    t = 0.0
+    while True:
+        t_cand = t + rng.exponential(scale)
+        i = int(rng.integers(N))
+        u = rng.random()
+        lim = min(t_cand, T)
+        while save_idx < len(save_times) and save_times[save_idx] <= lim:
+            snapshot(save_times[save_idx])
+            save_idx += 1
+        if t_cand > T:
+            return events
+        event = step(t_cand, i, u * fmax)
+        if event is not None:
+            events.append(event)
+            if len(events) > event_cap:
+                raise RuntimeError(f"event cap {event_cap} exceeded")
+        t = t_cand
+
+
+def _logged_run(spec, N, T, seed, save_times, event_cap, rng, trace, step,
+                state_at):
+    """_thin with snapshots of state_at(ts) -> (ages, memories), assembled
+    into the SimulationRecord of one network run."""
+    save_times = np.asarray(sorted(save_times), dtype=float)
+    snapshots = []
+
+    def snapshot(ts):
+        ages, mems = state_at(ts)
+        snapshots.append(ParticleState(ts, ages, mems, trace.value(ts)))
+
+    events = _thin(rng, N, spec.f_max, T, step, save_times, snapshot, event_cap)
+    try:
+        shash = spec.spec_hash()
+    except mdl.ConfigurationError:
+        shash = "unserializable"
+    return SimulationRecord(shash, N, T, seed, events, save_times, snapshots,
+                            np.asarray([s.X for s in snapshots]), trace.H_params)
 
 
 def simulate_network(spec: mdl.ModelSpec, N: int, T: float, seed: int,
@@ -175,106 +272,34 @@ def simulate_network(spec: mdl.ModelSpec, N: int, T: float, seed: int,
         raise ValueError("need N >= 1 and T > 0")
     if check_assumptions:
         _ensure_assumptions(spec)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    ages0, mems0 = spec.init_law.sample(rng, N)
-    H_params = spec.sample_H_params(rng, N, mems0)
-    trace = _XTrace(spec, N, H_params)
-    save_times = np.asarray(sorted(save_times), dtype=float)
+    rng, ages0, mems0, trace = _start(spec, N, seed)
+    f = make_scalar_intensity(spec)
+    jump = make_scalar_jump(spec.jump)
+    gmod = _scalar_modulation(spec)
+    mem_ref, decay = _memory_decay(spec, mems0)
+    neg_lam = -spec.lam
+    t_ref = np.zeros(N)
+    age_ref = ages0.copy()
 
-    d = spec.d
-    fmax = spec.f_max
-    scale = 1.0 / (N * fmax)
-    events = []
-    snapshots = []
-    x_emp = []
-    save_idx = 0
+    def state_at(ts):
+        el = ts - t_ref
+        return (age_ref + el,
+                mem_ref.reshape(N, -1) * np.exp(el[:, None] * neg_lam))
 
-    if d == 1:
-        lam0 = float(spec.lam[0])
-        fscal = make_scalar_intensity(spec)
-        jscal = make_scalar_jump(spec.jump)
-        gmod = _scalar_modulation(spec)
-        t_ref = np.zeros(N)
-        age_ref = ages0.copy()
-        mem_ref = mems0[:, 0].copy()
+    def step(t, i, v):
+        el = t - t_ref[i]
+        a = age_ref[i] + el
+        m = decay(mem_ref[i], el)
+        if not v <= f(a, m, trace.value(t)):
+            return None
+        trace.add_event(t, gmod(a, m))
+        t_ref[i] = t
+        age_ref[i] = 0.0
+        mem_ref[i] = jump(m)
+        return EventRecord(t, i, a, np.array(m, ndmin=1))
 
-        def take_snap(ts):
-            el = ts - t_ref
-            ages = age_ref + el
-            mems = (mem_ref * np.exp(-lam0 * el)).reshape(N, 1)
-            xv = trace.value(ts)
-            snapshots.append(ParticleState(ts, ages, mems, xv))
-            x_emp.append(xv)
-
-        t = 0.0
-        while True:
-            t_cand = t + rng.exponential(scale)
-            i = int(rng.integers(N))
-            u = rng.random()
-            lim = min(t_cand, T)
-            while save_idx < len(save_times) and save_times[save_idx] <= lim:
-                take_snap(save_times[save_idx])
-                save_idx += 1
-            if t_cand > T:
-                break
-            el = t_cand - t_ref[i]
-            a = age_ref[i] + el
-            m = mem_ref[i] * math.exp(-lam0 * el)
-            x = trace.value(t_cand)
-            if u * fmax <= fscal(a, m, x):
-                events.append(EventRecord(t_cand, i, a, np.array([m])))
-                if len(events) > event_cap:
-                    raise RuntimeError(f"event cap {event_cap} exceeded")
-                trace.add_event(t_cand, gmod(a, m))
-                t_ref[i] = t_cand
-                age_ref[i] = 0.0
-                mem_ref[i] = jscal(m)
-            t = t_cand
-    else:
-        lam = spec.lam
-        t_ref = np.zeros(N)
-        age_ref = ages0.copy()
-        mem_ref = mems0.copy()
-
-        def take_snap(ts):
-            el = ts - t_ref
-            ages = age_ref + el
-            mems = mem_ref * np.exp(-lam[None, :] * el[:, None])
-            xv = trace.value(ts)
-            snapshots.append(ParticleState(ts, ages, mems, xv))
-            x_emp.append(xv)
-
-        t = 0.0
-        while True:
-            t_cand = t + rng.exponential(scale)
-            i = int(rng.integers(N))
-            u = rng.random()
-            lim = min(t_cand, T)
-            while save_idx < len(save_times) and save_times[save_idx] <= lim:
-                take_snap(save_times[save_idx])
-                save_idx += 1
-            if t_cand > T:
-                break
-            el = t_cand - t_ref[i]
-            a = age_ref[i] + el
-            m = mem_ref[i] * np.exp(-lam * el)
-            x = trace.value(t_cand)
-            if u * fmax <= float(spec.intensity(a, m, x)):
-                events.append(EventRecord(t_cand, i, a, m.copy()))
-                if len(events) > event_cap:
-                    raise RuntimeError(f"event cap {event_cap} exceeded")
-                trace.add_event(t_cand, float(mdl.modulation_eval(spec.h, a, m)))
-                t_ref[i] = t_cand
-                age_ref[i] = 0.0
-                mem_ref[i] = mdl.jump_apply(spec.jump, m)
-            t = t_cand
-
-    try:
-        shash = spec.spec_hash()
-    except mdl.ConfigurationError:
-        shash = "unserializable"
-    return SimulationRecord(shash, N, T, seed, events, save_times,
-                            snapshots, np.asarray(x_emp), H_params)
+    return _logged_run(spec, N, T, seed, save_times, event_cap, rng, trace,
+                       step, state_at)
 
 
 def evaluate_X(spec: mdl.ModelSpec, record: SimulationRecord, t: float,
@@ -339,51 +364,37 @@ def simulate_coupled_pair(spec: mdl.ModelSpec, N: int, T: float, x_path,
     if xg[-1] < T - 1e-12:
         raise ValueError("x_path does not cover [0, T]")
 
-    lam0 = float(spec.lam[0])
-    fmax = spec.f_max
-    fscal = make_scalar_intensity(spec)
-    jscal = make_scalar_jump(spec.jump)
+    f = make_scalar_intensity(spec)
+    jump = make_scalar_jump(spec.jump)
     gmod = _scalar_modulation(spec)
     K, kap = spec.psi.K, spec.psi.kappa
 
     def psi_s(a):
         return K * (1.0 - math.exp(-a * kap / K))
 
-    vals = np.empty(n_replicas)
-    for rep in range(n_replicas):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
-        ages0, mems0 = spec.init_law.sample(rng, N)
-        H_params = spec.sample_H_params(rng, N, mems0)
-        trace = _XTrace(spec, N, H_params)
-
-        tN = np.zeros(N); aN = ages0.copy(); mN = mems0[:, 0].copy()
-        tL = np.zeros(N); aL = ages0.copy(); mL = mems0[:, 0].copy()
+    def replica(rep):
+        rng, ages0, mems0, trace = _start(spec, N, seed, spawn_key=(rep,))
+        mN, decay = _memory_decay(spec, mems0)
+        tN = np.zeros(N); aN = ages0.copy()
+        tL = np.zeros(N); aL = ages0.copy(); mL = mN.copy()
         sup = np.zeros(N)
-        scale = 1.0 / (N * fmax)
-        t = 0.0
-        while True:
-            t_cand = t + rng.exponential(scale)
-            i = int(rng.integers(N))
-            u = rng.random()
-            if t_cand > T:
-                break
+
+        def step(t, i, v):
             # finite-N side
-            elN = t_cand - tN[i]
+            elN = t - tN[i]
             a1 = aN[i] + elN
-            m1 = mN[i] * math.exp(-lam0 * elN)
-            x1 = trace.value(t_cand)
-            acc1 = u * fmax <= fscal(a1, m1, x1)
+            m1 = decay(mN[i], elN)
+            acc1 = v <= f(a1, m1, trace.value(t))
             # limit side
-            elL = t_cand - tL[i]
+            elL = t - tL[i]
             a2 = aL[i] + elL
-            m2 = mL[i] * math.exp(-lam0 * elL)
-            x2 = float(np.interp(t_cand, xg, xv))
-            acc2 = u * fmax <= fscal(a2, m2, x2)
+            m2 = decay(mL[i], elL)
+            acc2 = v <= f(a2, m2, float(np.interp(t, xg, xv)))
             if acc1:
-                trace.add_event(t_cand, gmod(a1, m1))
-                tN[i] = t_cand; aN[i] = 0.0; mN[i] = jscal(m1)
+                trace.add_event(t, gmod(a1, m1))
+                tN[i] = t; aN[i] = 0.0; mN[i] = jump(m1)
             if acc2:
-                tL[i] = t_cand; aL[i] = 0.0; mL[i] = jscal(m2)
+                tL[i] = t; aL[i] = 0.0; mL[i] = jump(m2)
             if acc1 or acc2:
                 an = 0.0 if acc1 else a1
                 al = 0.0 if acc2 else a2
@@ -392,8 +403,12 @@ def simulate_coupled_pair(spec: mdl.ModelSpec, N: int, T: float, x_path,
                 diff = abs(psi_s(an) - psi_s(al)) + abs(mn - ml)
                 if diff > sup[i]:
                     sup[i] = diff
-            t = t_cand
-        vals[rep] = float(np.mean(sup))
+            return None
+
+        _thin(rng, N, spec.f_max, T, step)    # no event log: step gives None
+        return float(np.mean(sup))
+
+    vals = np.array([replica(rep) for rep in range(n_replicas)], dtype=float)
     return CoupledRunSummary(N, T, seed, float(np.mean(vals)), n_replicas, vals)
 
 
@@ -417,16 +432,10 @@ def simulate_equivalent_hawkes(spec: mdl.ModelSpec, N: int, T: float, seed: int,
             "kernel-form simulation needs d=1 and a translation jump")
     if check_assumptions:
         _ensure_assumptions(spec)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    ages0, mems0 = spec.init_law.sample(rng, N)
-    H_params = spec.sample_H_params(rng, N, mems0)
-    trace = _XTrace(spec, N, H_params)
-    save_times = np.asarray(sorted(save_times), dtype=float)
-
+    rng, ages0, mems0, trace = _start(spec, N, seed)
     lam0 = float(spec.lam[0])
     alpha = spec.jump.alpha_vec[0]
-    fmax = spec.f_max
-    fscal = make_scalar_intensity(spec)
+    f = make_scalar_intensity(spec)
     gmod = _scalar_modulation(spec)
     m0 = mems0[:, 0]
     own_events = [[] for _ in range(N)]
@@ -439,49 +448,23 @@ def simulate_equivalent_hawkes(spec: mdl.ModelSpec, N: int, T: float, seed: int,
             v += alpha * math.exp(-lam0 * (t - s))
         return v
 
-    events = []
-    snapshots = []
-    x_emp = []
-    save_idx = 0
-    scale = 1.0 / (N * fmax)
+    def state_at(ts):
+        return (age_off + ts - last_event,
+                np.array([[mem_at(i, ts)] for i in range(N)]))
 
-    def take_snap(ts):
-        ages = age_off + ts - last_event
-        mems = np.array([[mem_at(i, ts)] for i in range(N)])
-        xv = trace.value(ts)
-        snapshots.append(ParticleState(ts, ages, mems, xv))
-        x_emp.append(xv)
+    def step(t, i, v):
+        a = age_off[i] + t - last_event[i]
+        m = mem_at(i, t)
+        if not v <= f(a, m, trace.value(t)):
+            return None
+        trace.add_event(t, gmod(a, m))
+        own_events[i].append(t)
+        last_event[i] = t
+        age_off[i] = 0.0
+        return EventRecord(t, i, a, np.array([m]))
 
-    t = 0.0
-    while True:
-        t_cand = t + rng.exponential(scale)
-        i = int(rng.integers(N))
-        u = rng.random()
-        lim = min(t_cand, T)
-        while save_idx < len(save_times) and save_times[save_idx] <= lim:
-            take_snap(save_times[save_idx])
-            save_idx += 1
-        if t_cand > T:
-            break
-        a = age_off[i] + t_cand - last_event[i]
-        m = mem_at(i, t_cand)
-        x = trace.value(t_cand)
-        if u * fmax <= fscal(a, m, x):
-            events.append(EventRecord(t_cand, i, a, np.array([m])))
-            if len(events) > event_cap:
-                raise RuntimeError(f"event cap {event_cap} exceeded")
-            trace.add_event(t_cand, gmod(a, m))
-            own_events[i].append(t_cand)
-            last_event[i] = t_cand
-            age_off[i] = 0.0
-        t = t_cand
-
-    try:
-        shash = spec.spec_hash()
-    except mdl.ConfigurationError:
-        shash = "unserializable"
-    return SimulationRecord(shash, N, T, seed, events, save_times,
-                            snapshots, np.asarray(x_emp), H_params)
+    return _logged_run(spec, N, T, seed, save_times, event_cap, rng, trace,
+                       step, state_at)
 
 
 # ---------------------------------------------------------------------------

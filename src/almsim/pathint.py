@@ -451,7 +451,7 @@ def density_on_grid(t, a_nodes, m_nodes, u0: mdl.InitialLaw, x0,
             if not keep.any():
                 continue
             p, q = chain_coeffs(times[keep])
-            dens = u0mem(p * m_nodes[None, :] + q[keep][:, None])
+            dens = u0mem(p * m_nodes[None, :] + q[:, None])
             row += p * (amp[keep] @ dens)
         out[ridx] = row
     return out

@@ -220,26 +220,26 @@ class DensitySolution:
         raise KeyError(f"time {t} not among saved times")
 
 
-def mass(rho, grid: Grid):
-    """Trapezoid mass of a density tabulated on the grid nodes."""
-    out = np.asarray(rho)
-    for k in reversed(range(grid.d)):
-        out = np.tensordot(out, _trapz_weights(grid.m_nodes(k)), axes=([-1], [0]))
-    return float(np.dot(_trapz_weights(grid.a_nodes), out))
-
-
-def age_marginal(rho, grid: Grid):
-    out = np.asarray(rho)
-    for k in reversed(range(grid.d)):
-        out = np.tensordot(out, _trapz_weights(grid.m_nodes(k)), axes=([-1], [0]))
+def _m_trapz(arr, m_nodes_list):
+    """Trapezoid integral over the trailing memory axes, last axis first."""
+    out = np.asarray(arr)
+    for nodes in reversed(m_nodes_list):
+        out = np.tensordot(out, _trapz_weights(nodes), axes=([-1], [0]))
     return out
 
 
-def _m_integral(arr, grid: Grid):
-    out = np.asarray(arr)
-    for k in reversed(range(grid.d)):
-        out = np.tensordot(out, _trapz_weights(grid.m_nodes(k)), axes=([-1], [0]))
-    return float(out)
+def mass(rho, grid: Grid):
+    """Trapezoid mass of a density tabulated on the grid nodes."""
+    return float(np.dot(_trapz_weights(grid.a_nodes), age_marginal(rho, grid)))
+
+
+def age_marginal(rho, grid: Grid):
+    return _m_trapz(rho, [grid.m_nodes(k) for k in range(grid.d)])
+
+
+def lm_mass(rho, m_nodes_list):
+    """Trapezoid mass of a memory-only density, such as the border layer."""
+    return float(_m_trapz(rho, m_nodes_list))
 
 
 def _m_mesh(grid: Grid, scale=None):
@@ -371,7 +371,7 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
             w_hist[n] = mass(gmod * fr, grid)
         mass_trace[n] = mass(rho, grid)
         if n > 0 and fluxint > 1e-300:
-            bmass = _m_integral(rho[0], grid)
+            bmass = lm_mass(rho[0], nodes_list)
             flux_rel[n] = abs(bmass - fluxint) / fluxint
         if keep_borders:
             borders[n] = rho[0]
@@ -410,7 +410,7 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
         # enters unscaled; the implied correction factor is kept as a
         # mass-conservation diagnostic only
         Mint = mass(new, grid)
-        layer = wa[0] * _m_integral(b, grid)
+        layer = wa[0] * lm_mass(b, nodes_list)
         if layer > 1e-300:
             scale_trace[n + 1] = (mass_trace[n] - Mint) / layer
         new[0] = b
@@ -443,15 +443,6 @@ def border_step(spec: mdl.ModelSpec, grid: Grid, rho, x_t):
     return np.tensordot(wa, out, axes=([0], [0]))
 
 
-def x_volterra_step(spec: mdl.ModelSpec, grid: Grid, w_hist, n, Hbar):
-    """Left-endpoint Volterra update reproducing the in-march x rule."""
-    dt = grid.dt
-    t = (n + 1) * dt
-    h = spec.h
-    kvv = np.asarray(mdl.kernel_eval(h, t - np.arange(n + 1) * dt), dtype=float)
-    return Hbar(t) + dt * h.J * float(np.dot(kvv, w_hist[:n + 1]))
-
-
 # ---------------------------------------------------------------------------
 # memory-only specialization (no age variable)
 
@@ -469,13 +460,6 @@ class LMDensitySolution:
             if abs(ts - t) < 1e-9:
                 return r
         raise KeyError(f"time {t} not among saved times")
-
-
-def lm_mass(rho, m_nodes_list):
-    out = np.asarray(rho)
-    for nodes in reversed(m_nodes_list):
-        out = np.tensordot(out, _trapz_weights(nodes), axes=([-1], [0]))
-    return float(out)
 
 
 def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, Hbar=None,
@@ -653,12 +637,6 @@ def weak_form_residual(spec: mdl.ModelSpec, grid: Grid, tests=None, u0=None,
     first_term = np.zeros(len(tests))
     last_term = np.zeros(len(tests))
 
-    def integral(arr):
-        out = arr
-        for k in reversed(range(d)):
-            out = np.tensordot(out, _trapz_weights(grid.m_nodes(k)), axes=([-1], [0]))
-        return float(np.dot(_trapz_weights(a_nodes), out))
-
     def cb(n, t, rho, x_t, F):
         tw = dt if 0 < n < G_steps else dt / 2.0
         for i, tf in enumerate(tests):
@@ -670,11 +648,11 @@ def weak_form_residual(spec: mdl.ModelSpec, grid: Grid, tests=None, u0=None,
             drift = np.sum(grad * (lam * mesh), axis=-1)
             g0g = np.asarray(tf.G(t, 0.0, gam_mesh), dtype=float)
             body = (adv - drift) * rho + F * rho * (g0g - gv)
-            acc[i] += tw * integral(body)
+            acc[i] += tw * mass(body, grid)
             if n == 0:
-                first_term[i] = integral(gv * rho)
+                first_term[i] = mass(gv * rho, grid)
             if n == G_steps:
-                last_term[i] = integral(gv * rho)
+                last_term[i] = mass(gv * rho, grid)
 
     sol = solve_alm_pde(spec, grid, Hbar=Hbar, u0=u0, save_times=(grid.T,),
                         step_callback=cb)

@@ -75,15 +75,6 @@ def preset(name: str) -> mdl.ModelSpec:
     raise KeyError(f"unknown preset {name!r}")
 
 
-def stp_to_original(m_transformed):
-    """Maps the transformed resource coordinate back to the original one."""
-    return 1.0 - m_transformed
-
-
-def stp_from_original(m_original):
-    return 1.0 - m_original
-
-
 def default_grid(name: str, T=5.0, dt=0.01) -> Grid:
     """Default solver resolution for each preset."""
     if name == "adaptation-1d":

@@ -169,6 +169,19 @@ def test_limit_nonconvergence_strict_exit(tmp_path):
     assert (out2 / "manifest.json").exists()
 
 
+def test_strict_warning_manifest_lists_only_this_run(tmp_path):
+    # a file left in the output directory by something else must not be
+    # checksummed into the manifest of a run that ends with a warning
+    numerics = dict(T=1.0, dt=0.02, n_particles=200, tol=1e-15, max_iter=1)
+    cfg = _write_cfg(tmp_path, _base("limit", **numerics))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "stale.csv").write_text("left over\n")
+    assert cli.run(cfg, out_override=out, strict=True) == cli.EXIT_STRICT
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["artifacts"]) == ["picard.json", "xpath.csv"]
+
+
 # ---------------------------------------------------------------------------
 # argv entry point and thread invariance
 

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy import stats
 
 from almsim import model as mdl
 from almsim import particle as prt
+from almsim import presets
 from almsim.limit import XPath
 
 
@@ -190,6 +192,136 @@ def test_invalid_model_refused():
                                 fn_inv=lambda m: 0.5 * m))
     with pytest.raises(mdl.ConfigurationError):
         prt.simulate_network(bad, 2, 1.0, seed=0)
+
+
+def test_assumption_verdict_not_inherited_through_reused_id(monkeypatch):
+    # custom callables make a spec unserializable; once it is collected its
+    # verdict must not pass to a new spec that gets the same id
+    monkeypatch.setattr(prt, "id", lambda obj: 12345, raising=False)
+    base = _constant_spec(rate=1.0)
+    good = dataclasses.replace(
+        base, jump=mdl.JumpSpec(family="custom", fn=lambda m: 0.5 * m,
+                                fn_inv=lambda m: 2.0 * m))
+    prt.simulate_network(good, 2, 1.0, seed=0)
+    del good
+    gc.collect()
+    bad = dataclasses.replace(
+        base, jump=mdl.JumpSpec(family="custom", fn=lambda m: 2.0 * m,
+                                fn_inv=lambda m: 0.5 * m))
+    with pytest.raises(mdl.ConfigurationError):
+        prt.simulate_network(bad, 2, 1.0, seed=0)
+
+
+def test_assumption_cache_bounded():
+    for k in range(prt._ASSUMPTION_CACHE_SIZE + 5):
+        prt.simulate_network(_constant_spec(rate=1.0 + k / 64), 1, 1e-6, seed=0)
+    assert len(prt._validated_cache) == prt._ASSUMPTION_CACHE_SIZE
+
+
+# ---------------------------------------------------------------------------
+# pinned candidate stream
+#
+# Each candidate draws its gap, its neuron and its uniform, in that order, on
+# one generator per run.  These logs pin that stream and every state form:
+# scalar d = 1 (translation and affine-contraction jumps), d = 2 and the
+# kernel-form memory.  Neurons must match exactly, floats to 1e-13 relative.
+
+
+def _d2_spec():
+    return mdl.ModelSpec(
+        d=2,
+        Lambda=(1.0, 0.5),
+        f=mdl.IntensitySpec(family="sigmoid-affine", f_min=0.3, f_max=2.0,
+                            c_a=0.5, c_x=0.8, c_m=(0.7, -0.4), b=0.1),
+        h=mdl.InteractionSpec(kernel="erlang", tau=0.4, J=0.9,
+                              modulation="linear-in-m", mod_intercept=1.0,
+                              mod_slope=0.3),
+        jump=mdl.JumpSpec(family="affine-contraction", alpha=0.3,
+                          offset=(0.2, -0.1)),
+        init_law=mdl.InitialLaw(age=("exponential", 1.0),
+                                mem=(("uniform", -1.0, 0.0), ("uniform", 0.0, 0.5))),
+        H=mdl.BaselineSpec(family="constant-random", mean=0.1, std=0.2),
+    )
+
+
+# N = 10, T = 3, seed 4, saves at 1, 2, 3: event count, (time, neuron) of the
+# first 20 events and the empirical signal at the save times
+_ADAPTATION_LOG = (
+    27,
+    [0.1417684103190498, 0.27023434835091714, 0.3465301760180147,
+     0.4963918107126687, 0.6069839890216762, 0.6136649119657509,
+     0.7075543431134131, 0.7971887737384242, 0.9144842914843672,
+     0.9862844581871083, 1.1083059701898506, 1.3761131721210798,
+     1.423150576739821, 1.549333053642349, 1.5928925773157785,
+     1.595630908419724, 1.5980638120613038, 1.60255218822833,
+     1.8412214955180606, 2.1680982604817953],
+    [9, 5, 6, 4, 1, 7, 2, 8, 3, 9, 7, 0, 0, 6, 7, 5, 5, 3, 3, 7],
+    [0.27667484958371513, 0.3040564013846837, 0.31511257393614683],
+)
+_STREAM_PINS = {
+    "adaptation-1d": _ADAPTATION_LOG,
+    "stp": (
+        22,
+        [0.1417684103190498, 0.27023434835091714, 0.3465301760180147,
+         0.4963918107126687, 0.6069839890216762, 0.6136649119657509,
+         0.7075543431134131, 0.7971887737384242, 0.9144842914843672,
+         0.9862844581871083, 1.1083059701898506, 1.3761131721210798,
+         1.423150576739821, 1.549333053642349, 1.595630908419724,
+         1.5980638120613038, 1.8412214955180606, 2.1680982604817953,
+         2.44539769477168, 2.5294916211483085],
+        [9, 5, 6, 4, 1, 7, 2, 8, 3, 9, 7, 0, 0, 6, 5, 5, 3, 7, 5, 1],
+        [0.29115505478388, 0.14785223491776286, 0.14029352181079427],
+    ),
+    "d2": (
+        44,
+        [0.0032500486184603183, 0.023843452231617313, 0.08833869553426715,
+         0.13379774644418793, 0.3426180428927627, 0.3730134605046153,
+         0.5069092691852393, 0.6289307811879816, 0.6507991234335947,
+         0.6869485363045447, 0.7104352041782179, 0.7584807994930549,
+         0.7734786199454913, 0.8170381436189207, 0.8807916773452441,
+         0.8832245809868239, 0.9196001953324534, 0.9758042930167337,
+         1.0412399159876653, 1.0447178025554713],
+        [6, 4, 1, 8, 5, 1, 1, 3, 8, 2, 6, 5, 5, 4, 0, 0, 1, 1, 0, 9],
+        [0.5225622075587917, 0.6442011555730288, 0.6170114072731415],
+    ),
+    # the kernel form of adaptation-1d gives the state form's log
+    "hawkes": _ADAPTATION_LOG,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STREAM_PINS))
+def test_thinning_stream_pinned(case):
+    saves = (1.0, 2.0, 3.0)
+    if case == "hawkes":
+        spec = presets.preset("adaptation-1d")
+        rec = prt.simulate_equivalent_hawkes(spec, 10, 3.0, 4, save_times=saves)
+    else:
+        spec = _d2_spec() if case == "d2" else presets.preset(case)
+        rec = prt.simulate_network(spec, 10, 3.0, 4, save_times=saves)
+    n_events, times, neurons, x = _STREAM_PINS[case]
+    assert len(rec.events) == n_events
+    assert [e.neuron for e in rec.events[:20]] == neurons
+    np.testing.assert_allclose([e.time for e in rec.events[:20]], times,
+                               rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(rec.x_path_emp, x, rtol=1e-13, atol=0.0)
+    assert all(e.memory_before.shape == (spec.d,) for e in rec.events)
+    assert all(s.memories.shape == (10, spec.d) for s in rec.snapshots)
+
+
+@pytest.mark.parametrize("name, per_replica", [
+    ("adaptation-1d",
+     [0.0, 0.3373131896231811, 0.4051651342878027, 0.3768644239025887]),
+    ("stp", [0.0, 0.0, 0.23838421320686473, 0.06137378834347348]),
+])
+def test_coupled_pair_stream_pinned(name, per_replica):
+    # N = 3 against a flat reference path, so accept decisions part ways
+    ts = np.linspace(0.0, 3.0, 301)
+    out = prt.simulate_coupled_pair(presets.preset(name), 3, 3.0,
+                                    XPath(ts, np.zeros_like(ts)), seed=3,
+                                    n_replicas=4)
+    np.testing.assert_allclose(out.per_replica, per_replica, rtol=1e-13, atol=0.0)
+    assert out.sup_distance == pytest.approx(float(np.mean(per_replica)),
+                                             rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

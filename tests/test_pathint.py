@@ -299,6 +299,36 @@ def test_renewal_age_marginal_from_grid():
     assert np.all(np.isfinite(rho)) and rho.min() >= 0.0
 
 
+def test_density_grid_rows_with_zero_amplitude(monkeypatch):
+    # zeroing every other quadrature weight leaves some amplitudes exactly 0
+    # and some not; the grid must equal a run that drops those nodes
+    spec = _spec(Lambda=(0.2,),
+                 init=mdl.InitialLaw(age=("uniform", 0.0, 2.0),
+                                     mem=(("truncnorm", -0.5, 0.45, -1.8, 0.5),)))
+    cfg = pi.PathIntegralConfig(K_max=4)
+    a_nodes = np.array([0.2, 0.6, 1.5])
+    m_nodes = np.linspace(-1.5, 0.5, 9)
+    simplex = pi._simplex_nodes
+
+    def zeroed(*args):
+        nodes, weights = simplex(*args)
+        weights = weights.copy()
+        weights[::2] = 0.0
+        return nodes, weights
+
+    def dropped(*args):
+        nodes, weights = simplex(*args)
+        return nodes[1::2], weights[1::2]
+
+    grids = []
+    for patch in (zeroed, dropped):
+        monkeypatch.setattr(pi, "_simplex_nodes", patch)
+        grids.append(pi.density_on_grid(1.0, a_nodes, m_nodes, spec.init_law,
+                                        0.0, cfg, spec))
+    assert np.all(grids[1][:2].max(axis=1) > 0.0)
+    np.testing.assert_allclose(grids[0], grids[1], rtol=1e-14, atol=0.0)
+
+
 def test_density_grid_rejects_memory_dependent_f():
     spec = _spec(f=mdl.IntensitySpec(family="sigmoid-affine", f_min=0.3,
                                      f_max=1.0, c_a=0.0, c_x=0.0, c_m=(0.5,),
