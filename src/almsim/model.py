@@ -115,13 +115,25 @@ def intensity_eval(spec: IntensitySpec, psi: PsiParams, a, m, x):
         u = np.asarray(u, dtype=float)
         return spec.f_min + (spec.f_max - spec.f_min) * _sigmoid(u)
     cm = np.asarray(spec.c_m, dtype=float)
-    u = spec.c_a * psi_eval(a, psi) + np.tensordot(m, cm, axes=([-1], [0]))
+    u = np.tensordot(m, cm, axes=([-1], [0]))
+    # an age-free u keeps the memory shape, so the nonlinearity runs once per
+    # memory node instead of once per (age, memory) node; the result takes
+    # the full broadcast shape at the end
+    if spec.c_a != 0.0:
+        u = spec.c_a * psi_eval(a, psi) + u
+    elif np.any(a < 0):
+        raise ValueError("age must be nonnegative")
     u = np.asarray(u + spec.c_x * x + spec.b, dtype=float)
     if spec.family == "sigmoid-affine":
         g = _sigmoid(u)
     else:  # exp-saturating
         g = -np.expm1(-np.logaddexp(0.0, u))
-    return spec.f_min + (spec.f_max - spec.f_min) * g
+    out = spec.f_min + (spec.f_max - spec.f_min) * g
+    if a.ndim > 0:
+        shape = np.broadcast_shapes(a.shape, out.shape)
+        if shape != out.shape:
+            out = np.broadcast_to(out, shape).copy()
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,12 +31,18 @@ def _ensure_assumptions(spec: mdl.ModelSpec):
         # custom callables: keyed by the spec itself, which the cache holds,
         # so no later object can take its id while its verdict is cached
         key = spec
-    report = _validated_cache.pop(key, None)
+    try:
+        report = _validated_cache.pop(key, None)
+    except TypeError:
+        # a custom spec with an unhashable field, such as a list where
+        # ModelSpec declares a tuple, is validated on every call instead
+        key, report = None, None
     if report is None:
         report = mdl.validate_assumptions(spec, n_samples=4000, seed=1234)
-    _validated_cache[key] = report
-    if len(_validated_cache) > _ASSUMPTION_CACHE_SIZE:
-        _validated_cache.popitem(last=False)
+    if key is not None:
+        _validated_cache[key] = report
+        if len(_validated_cache) > _ASSUMPTION_CACHE_SIZE:
+            _validated_cache.popitem(last=False)
     if not report.all_pass:
         bad = [k for k, v in report.passes.items() if not v]
         raise mdl.ConfigurationError(f"model fails assumption checks: {bad}")
@@ -75,7 +81,9 @@ class _XTrace:
     """O(1) running evaluation of the shared signal for separable h.
 
     Exponential and erlang kernels keep decaying sufficient statistics; the
-    finite-support kernel falls back to a pruned lazy sum.
+    finite-support kernel falls back to a lazy sum over the events of the
+    last tau.  Queries come at nondecreasing times, no earlier than the last
+    event, so an event that is a full tau old stays out of every later sum.
     """
 
     def __init__(self, spec, N, H_params):
@@ -91,8 +99,7 @@ class _XTrace:
         self.t = 0.0
         self.s0 = 0.0
         self.s1 = 0.0
-        self.ev_t = []
-        self.ev_g = []
+        self.recent = deque()    # (time, g) of the finite-support events
         self._horizon = spec.h.tau
 
     def value(self, t):
@@ -110,7 +117,7 @@ class _XTrace:
             return he + self.J * s1 / self.N
         # finite-support bump: lazy sum over recent events
         acc = 0.0
-        for te, g in zip(reversed(self.ev_t), reversed(self.ev_g)):
+        for te, g in reversed(self.recent):
             lag = t - te
             if lag >= self._horizon:
                 break
@@ -128,8 +135,10 @@ class _XTrace:
             self.s0 = r * self.s0 + g
             self.t = t
         else:
-            self.ev_t.append(t)
-            self.ev_g.append(g)
+            recent = self.recent
+            while recent and t - recent[0][0] >= self._horizon:
+                recent.popleft()
+            recent.append((t, g))
 
 
 def _scalar_modulation(spec):

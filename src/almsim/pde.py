@@ -70,6 +70,14 @@ def _trapz_weights(nodes):
     return w
 
 
+def _dot_last(arr, w):
+    """Contracts the last axis of arr with w.  einsum sums in its own loops
+    and never calls BLAS, whose summation order follows its thread count;
+    the solvers' weighted sums go through here or _border, so their bits do
+    not depend on that count."""
+    return np.einsum("...i,i->...", arr, w)
+
+
 @dataclass(frozen=True)
 class _RemapTable:
     """Fixed weights of the uniform-grid monotone-cubic remap along one axis.
@@ -189,8 +197,8 @@ def _mass_remap(arr, tab: _RemapTable, axis):
     # second-order consistent with it
     if tab.ends is not None:
         ie, wy, wd = tab.ends
-        exact = cum[..., ie] @ wy + d[..., ie] @ wd
-        den = vals @ tab.trapz
+        exact = _dot_last(cum[..., ie], wy) + _dot_last(d[..., ie], wd)
+        den = _dot_last(vals, tab.trapz)
         ratio = np.divide(exact, den, out=np.ones_like(den),
                           where=np.abs(den) > 1e-300)
         vals *= ratio[..., None]
@@ -224,13 +232,13 @@ def _m_trapz(arr, m_nodes_list):
     """Trapezoid integral over the trailing memory axes, last axis first."""
     out = np.asarray(arr)
     for nodes in reversed(m_nodes_list):
-        out = np.tensordot(out, _trapz_weights(nodes), axes=([-1], [0]))
+        out = _dot_last(out, _trapz_weights(nodes))
     return out
 
 
 def mass(rho, grid: Grid):
     """Trapezoid mass of a density tabulated on the grid nodes."""
-    return float(np.dot(_trapz_weights(grid.a_nodes), age_marginal(rho, grid)))
+    return float(_dot_last(age_marginal(rho, grid), _trapz_weights(grid.a_nodes)))
 
 
 def age_marginal(rho, grid: Grid):
@@ -295,6 +303,13 @@ def _pull(arr, table, m_axis0):
     for k, tab in enumerate(table):
         out = _mass_remap(out, tab, m_axis0 + k)
     return out
+
+
+def _border(Fr, wa, jump_tab):
+    """Border layer b(m) = |det Dg^-1| int Fr(a, g^-1(m)) da of the loss
+    density Fr = f rho.  The jump pull acts on m only, so the age integral
+    comes first and a single memory row is remapped."""
+    return _pull(np.einsum("i,i...->...", wa, Fr), jump_tab, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +402,7 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
         # explicit Volterra update for the signal
         x_next = Hbar(ts[n + 1])
         if h.J != 0.0:
-            x_next += dt * h.J * float(np.dot(kv[1:n + 2][::-1], w_hist[:n + 1]))
+            x_next += dt * h.J * float(_dot_last(kv[1:n + 2][::-1], w_hist[:n + 1]))
         x_mid = 0.5 * (x[n] + x_next)
 
         # transport with survival attenuation; the remap carries the volume
@@ -400,12 +415,10 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
         # border layer at the new time, fixed-point sweeps for the
         # self-referential age-zero node
         F1 = f_grid(A, mesh, x_next)
-        Rg = _pull(F1 * new, jump_tab, 1)
-        fixed = np.tensordot(wa, Rg, axes=([0], [0]))
+        fixed = _border(F1 * new, wa, jump_tab)
         b = fixed
         for _ in range(border_sweeps):
-            row = _pull((F1[0] * b)[None, ...], jump_tab, 1)[0]
-            b = fixed + wa[0] * row
+            b = fixed + wa[0] * _pull(F1[0] * b, jump_tab, 0)
         # the injected layer balances the survival loss analytically, so it
         # enters unscaled; the implied correction factor is kept as a
         # mass-conservation diagnostic only
@@ -439,8 +452,7 @@ def border_step(spec: mdl.ModelSpec, grid: Grid, rho, x_t):
     nodes_list = [grid.m_nodes(k) for k in range(d)]
     _, jump_tab = _remap_tables(spec, nodes_list, spec.lam, grid.dt)
     F = np.asarray(spec.intensity(A, mesh, x_t), dtype=float)
-    out = _pull(F * rho, jump_tab, 1)
-    return np.tensordot(wa, out, axes=([0], [0]))
+    return _border(F * rho, wa, jump_tab)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +529,7 @@ def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, Hbar=None,
             break
         x_next = Hbar(ts[n + 1])
         if h.J != 0.0:
-            x_next += dt * h.J * float(np.dot(kvv[1:n + 2][::-1], w_hist[:n + 1]))
+            x_next += dt * h.J * float(_dot_last(kvv[1:n + 2][::-1], w_hist[:n + 1]))
         x_mid = 0.5 * (x[n] + x_next)
         transported = _pull(rho, decay_tab, 0)
         Fm = np.asarray(spec.intensity(0.0, mesh, x_mid), dtype=float)

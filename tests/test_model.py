@@ -115,6 +115,74 @@ def test_intensity_bounds_hold_everywhere(family, rng):
     assert np.all(vals <= 2.5 + 1e-12)
 
 
+def _intensity_full_form(f, p, a, m, x):
+    """f(a, m, x) with the age term always on the full (age, memory) shape,
+    0 * psi(a) included when c_a is 0."""
+    a = np.asarray(a, dtype=float)
+    m = np.atleast_1d(np.asarray(m, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if f.family == "constant":
+        return np.full(np.broadcast_shapes(a.shape, m.shape[:-1], x.shape),
+                       f.f_min)
+    if f.family == "stp-composite":
+        u = f.c_x * (x + (-f.psi_amp) * np.exp(-f.psi_rate * a)) + f.b
+        return f.f_min + (f.f_max - f.f_min) * mdl._sigmoid(np.asarray(u))
+    u = f.c_a * mdl.psi_eval(a, p) + np.tensordot(
+        m, np.asarray(f.c_m, dtype=float), axes=([-1], [0]))
+    u = np.asarray(u + f.c_x * x + f.b, dtype=float)
+    if f.family == "sigmoid-affine":
+        g = mdl._sigmoid(u)
+    else:
+        g = -np.expm1(-np.logaddexp(0.0, u))
+    return f.f_min + (f.f_max - f.f_min) * g
+
+
+def _intensity_inputs(d, rng):
+    """0-d, (n,) and (age, memory) grid arguments in memory dimension d."""
+    na, nm = 31, 17
+    grid_m = np.stack(np.meshgrid(*[np.linspace(-2.0, 1.0, nm)] * d,
+                                  indexing="ij"), axis=-1)
+    return [
+        (1.3, rng.normal(size=d), 0.4),
+        (0.0, rng.normal(size=d), np.float64(-0.2)),
+        (rng.exponential(2.0, 9), rng.normal(size=(9, d)), 0.7),
+        (rng.exponential(2.0, 9), rng.normal(size=(9, d)), rng.normal(size=9)),
+        (np.linspace(0.0, 12.0, na).reshape((na,) + (1,) * d), grid_m, -0.3),
+        (0.0, grid_m, 1.1),
+    ]
+
+
+@pytest.mark.parametrize("c_a", [0.0, 0.7])
+@pytest.mark.parametrize("family", ["constant", "sigmoid-affine",
+                                    "exp-saturating", "stp-composite"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_intensity_compact_path_matches_full_form(family, c_a, d, rng):
+    # with c_a = 0 the age term is skipped, and the result is broadcast back
+    # to the full shape: same shape, same bits, writable
+    f_min = 1.2 if family == "constant" else 0.3
+    f = mdl.IntensitySpec(family=family, f_min=f_min, f_max=1.2, c_a=c_a,
+                          c_x=0.9, c_m=(0.8, -0.5)[:d], b=0.1)
+    p = mdl.PsiParams(K=1.5, kappa=0.8)
+    for a, m, x in _intensity_inputs(d, rng):
+        got = mdl.intensity_eval(f, p, a, m, x)
+        ref = _intensity_full_form(f, p, a, m, x)
+        assert np.shape(got) == np.shape(ref)
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+        if np.ndim(got) > 0:
+            assert got.flags.writeable
+
+
+@pytest.mark.parametrize("family", ["sigmoid-affine", "exp-saturating"])
+def test_intensity_without_age_term_rejects_negative_age(family):
+    f = mdl.IntensitySpec(family=family, f_min=0.3, f_max=1.2, c_a=0.0,
+                          c_m=(0.5,))
+    p = mdl.PsiParams()
+    with pytest.raises(ValueError):
+        mdl.intensity_eval(f, p, -0.1, np.array([0.0]), 0.0)
+    with pytest.raises(ValueError):
+        mdl.intensity_eval(f, p, np.array([0.5, -1e-300]), np.zeros((2, 1)), 0.0)
+
+
 def test_intensity_spec_rejects_bad_bounds():
     with pytest.raises(mdl.ConfigurationError):
         mdl.IntensitySpec(family="sigmoid-affine", f_min=0.0, f_max=1.0)

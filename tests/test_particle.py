@@ -105,7 +105,8 @@ def test_evaluate_x_single_event():
     assert abs(got - 0.7 * math.exp(-(1.0 - 0.3) / 0.5)) < 1e-14
 
 
-@pytest.mark.parametrize("kernel", ["exponential", "erlang"])
+@pytest.mark.parametrize("kernel", ["exponential", "erlang",
+                                    "finite-support-smooth"])
 def test_trace_matches_lazy_sum(kernel):
     # the O(1) decaying-trace fast path against the reference lazy sum
     spec = _constant_spec(rate=1.2, J=0.6, kernel=kernel)
@@ -115,6 +116,30 @@ def test_trace_matches_lazy_sum(kernel):
     for t, x_fast in zip(saves, rec.x_path_emp):
         x_lazy = prt.evaluate_X(spec, rec, t, horizon=np.inf)
         assert abs(x_fast - x_lazy) < 1e-12
+
+
+def test_finite_support_trace_keeps_only_last_tau():
+    # the pruned event queue gives the bits of the unpruned newest-first
+    # sum, and holds no more events than fall in one kernel support
+    spec = _constant_spec(rate=1.0, J=0.6, kernel="finite-support-smooth")
+    tau = spec.h.tau
+    trace = prt._XTrace(spec, 50, np.zeros(50))
+    rng = np.random.default_rng(5)
+    times = np.cumsum(rng.exponential(0.02, 5000))
+    all_t, all_g, longest = [], [], 0
+    for t, g in zip(times, rng.uniform(0.5, 1.5, times.size)):
+        acc = 0.0
+        for te, ge in zip(reversed(all_t), reversed(all_g)):
+            if t - te >= tau:
+                break
+            acc += ge * float(mdl.kernel_eval(spec.h, t - te))
+        assert trace.value(t) == spec.h.J * acc / 50
+        trace.add_event(t, g)
+        all_t.append(t)
+        all_g.append(g)
+        longest = max(longest, len(trace.recent))
+    window = np.searchsorted(times, times + tau) - np.arange(times.size)
+    assert longest <= window.max() + 1 < 100
 
 
 def test_x_bound_at_save_times():
@@ -210,6 +235,26 @@ def test_assumption_verdict_not_inherited_through_reused_id(monkeypatch):
                                 fn_inv=lambda m: 0.5 * m))
     with pytest.raises(mdl.ConfigurationError):
         prt.simulate_network(bad, 2, 1.0, seed=0)
+
+
+def test_unhashable_custom_spec_validated_without_caching():
+    # a list where ModelSpec declares a tuple makes a custom spec unhashable;
+    # it is checked on every call and never enters the verdict cache
+    base = presets.preset("adaptation-1d")
+    good = dataclasses.replace(
+        base, Lambda=[1.0],
+        jump=mdl.JumpSpec(family="custom", fn=lambda m: m - 0.4,
+                          fn_inv=lambda m: m + 0.4))
+    n_cached = len(prt._validated_cache)
+    for _ in range(2):
+        rec = prt.simulate_network(good, 3, 0.5, seed=0)
+        assert rec.spec_hash == "unserializable"
+    assert len(prt._validated_cache) == n_cached
+    bad = dataclasses.replace(
+        good, jump=mdl.JumpSpec(family="custom", fn=lambda m: 2.0 * m,
+                                fn_inv=lambda m: 0.5 * m))
+    with pytest.raises(mdl.ConfigurationError):
+        prt.simulate_network(bad, 3, 0.5, seed=0)
 
 
 def test_assumption_cache_bounded():

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -181,6 +184,90 @@ def test_border_constant_rate_factorizes():
     # flux balance: border mass equals the total intensity mass
     flux = pde.mass(1.3 * rho, g)
     assert abs(float(np.sum(b * _w(mn))) - flux) / flux < 1e-3
+
+
+def _d2_spec():
+    return mdl.ModelSpec(
+        d=2, Lambda=(1.0, 0.5),
+        psi=mdl.PsiParams(K=1.0, kappa=1.0),
+        f=mdl.IntensitySpec(family="sigmoid-affine", f_min=0.3, f_max=2.0,
+                            c_a=0.5, c_x=0.8, c_m=(0.7, -0.4), b=0.1),
+        h=mdl.InteractionSpec(kernel="erlang", tau=0.4, J=0.9,
+                              modulation="linear-in-m", mod_intercept=1.0,
+                              mod_slope=0.3),
+        jump=mdl.JumpSpec(family="affine-contraction", alpha=0.3,
+                          offset=(0.2, -0.1)),
+        init_law=mdl.InitialLaw(age=("exponential", 1.0),
+                                mem=(("uniform", -1.0, 0.0),
+                                     ("uniform", 0.0, 0.5))),
+        H=mdl.BaselineSpec(family="zero"),
+    )
+
+
+def _d2_grid(T, n_m=(20, 16)):
+    return pde.Grid(a_max=4.0, n_a=40, m_lo=(-1.5, -0.5), m_hi=(0.5, 1.0),
+                    n_m=n_m, T=T, dt=0.1)
+
+
+@pytest.mark.parametrize("case", ["adaptation-1d", "stp", "d2"])
+def test_border_step_matches_march_border(case):
+    # the march and border_step share one border helper: with no fixed-point
+    # sweeps, the age-zero row after step 1 is border_step of that step's
+    # density with the row zeroed, at x[1]
+    if case == "d2":
+        spec, g = _d2_spec(), _d2_grid(T=0.1)
+    else:
+        spec = presets.preset(case)
+        dg = presets.default_grid(case)
+        g = pde.Grid(a_max=dg.a_max, n_a=300, m_lo=dg.m_lo, m_hi=dg.m_hi,
+                     n_m=(80,), T=0.05, dt=0.05)
+    seen = {}
+
+    def cb(n, t, rho, x_t, F):
+        if n == 1:
+            seen["rho"], seen["x"] = rho.copy(), x_t
+
+    pde.solve_alm_pde(spec, g, step_callback=cb, border_sweeps=0)
+    rho1 = seen["rho"]
+    row = rho1[0].copy()
+    rho1[0] = 0.0
+    b = pde.border_step(spec, g, rho1, seen["x"])
+    assert row.max() > 0.0
+    assert np.abs(b - row).max() <= 1e-14 * np.abs(row).max()
+
+
+_BLAS_PROBE = """
+import hashlib, sys
+from almsim import pde, presets
+sys.path.insert(0, sys.argv[1])
+from test_pde import _d2_grid, _d2_spec
+runs = [(presets.preset("adaptation-1d"),
+         presets.default_grid("adaptation-1d", T=0.2)),
+        (_d2_spec(), _d2_grid(T=0.5, n_m=(40, 30)))]
+for spec, grid in runs:
+    sol = pde.solve_alm_pde(spec, grid, save_times=[grid.T])
+    for arr in (sol.rho_at(grid.T), sol.x.values, sol.mass_trace):
+        print(hashlib.sha256(arr.tobytes()).hexdigest())
+"""
+
+
+def test_solution_bits_independent_of_blas_threads():
+    # BLAS sums in an order set by its thread count; the solver's weighted
+    # sums avoid it, so 1 and 2 OpenBLAS threads give the same bytes
+    path = [os.path.dirname(os.path.dirname(pde.__file__))]
+    path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    here = os.path.dirname(os.path.abspath(__file__))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, here],
+                              env=env, capture_output=True, text=True,
+                              timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.split())
+    assert len(out[0]) == 6
+    assert out[0] == out[1]
 
 
 # ---------------------------------------------------------------------------
