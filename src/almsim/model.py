@@ -93,6 +93,13 @@ class IntensitySpec:
         ):
             raise ConfigurationError(f"unknown intensity family {self.family!r}")
 
+    @property
+    def age_free(self):
+        """True when f does not depend on age: the constant family, and the
+        sigmoid-affine and exp-saturating families with c_a == 0."""
+        return self.family == "constant" or (
+            self.family != "stp-composite" and self.c_a == 0.0)
+
 
 def _sigmoid(u):
     # e = exp(-|u|) never overflows, and the two branches are bit for bit
@@ -119,7 +126,7 @@ def intensity_eval(spec: IntensitySpec, psi: PsiParams, a, m, x):
     # an age-free u keeps the memory shape, so the nonlinearity runs once per
     # memory node instead of once per (age, memory) node; the result takes
     # the full broadcast shape at the end
-    if spec.c_a != 0.0:
+    if not spec.age_free:
         u = spec.c_a * psi_eval(a, psi) + u
     elif np.any(a < 0):
         raise ValueError("age must be nonnegative")

@@ -6,6 +6,10 @@ decay flow with volume factor exp(dt*TrLambda), and survival attenuation uses
 a midpoint rule in the exponent.  The age-zero border layer is rebuilt each
 step from the jump-mapped loss integral, and the deterministic signal x_t
 satisfies a Volterra equation discretized with the left-endpoint rule.
+
+Each step does its per-row work (decay pull, survival, loss density f rho,
+memory integrals) in one pass over L2-sized blocks of age rows; the age
+integrals, the border layer and the clip then run once on the whole grid.
 """
 
 from __future__ import annotations
@@ -228,11 +232,13 @@ class DensitySolution:
         raise KeyError(f"time {t} not among saved times")
 
 
-def _m_trapz(arr, m_nodes_list):
-    """Trapezoid integral over the trailing memory axes, last axis first."""
+def _m_trapz(arr, wm):
+    """Trapezoid integral over the trailing memory axes, last axis first, with
+    the per-axis weights wm.  Each leading index is summed on its own, so a
+    block of age rows gets the bits of the same rows of the whole array."""
     out = np.asarray(arr)
-    for nodes in reversed(m_nodes_list):
-        out = _dot_last(out, _trapz_weights(nodes))
+    for w in reversed(wm):
+        out = _dot_last(out, w)
     return out
 
 
@@ -242,12 +248,12 @@ def mass(rho, grid: Grid):
 
 
 def age_marginal(rho, grid: Grid):
-    return _m_trapz(rho, [grid.m_nodes(k) for k in range(grid.d)])
+    return _m_trapz(rho, [_trapz_weights(grid.m_nodes(k)) for k in range(grid.d)])
 
 
 def lm_mass(rho, m_nodes_list):
     """Trapezoid mass of a memory-only density, such as the border layer."""
-    return float(_m_trapz(rho, m_nodes_list))
+    return float(_m_trapz(rho, [_trapz_weights(n) for n in m_nodes_list]))
 
 
 def _m_mesh(grid: Grid, scale=None):
@@ -316,10 +322,32 @@ def _border(Fr, wa, jump_tab):
 # main solver
 
 
+# Nodes in one age-row block of the march.  Its temporaries, 256 KiB each,
+# fit in L2 and are reused from the allocator's free memory.  With 2^17 or
+# 2^18 nodes a solve on the 1201 x 101 grid of configs/golden/pde.json took
+# 25k page faults instead of under 2k; with 2^13 or 2^14 the per-block
+# overhead made the steps slower.
+_BLOCK_ELEMS = 1 << 15
+
+
 def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
                   save_times=(), step_callback=None,
                   border_sweeps=2, keep_borders=True) -> DensitySolution:
-    """Marches the Lagrangian solution of the full age-and-memory equation."""
+    """Marches the Lagrangian solution of the full age-and-memory equation.
+
+    A step goes over the age rows in blocks of about 2^15 nodes.  For each
+    block it pulls the density rows that feed it along the decay flow,
+    applies the survival factor, forms the loss density f rho and the memory
+    integrals of rho, f rho and g f rho on each row, and notes whether a row
+    went negative.  What needs every row follows the blocks: the age
+    integrals for the border layer and the signal, the border sweeps, row 0
+    and the clip.  The block size changes no bit of the result.
+
+    step_callback(n, t_n, rho, x_n, F) gets rho_n and f at (t_n, x_n), F as
+    a read-only view of the shape of rho.  Two density buffers take turns,
+    so the rho handed over is overwritten two steps later; a callback that
+    keeps it must copy it.
+    """
     d = grid.d
     if d != spec.d:
         raise mdl.ConfigurationError("grid dimension does not match the model")
@@ -350,10 +378,14 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
 
     # conservative remap tables for the decay pullback and the jump inverse
     nodes_list = [grid.m_nodes(k) for k in range(d)]
+    wm = [_trapz_weights(nodes) for nodes in nodes_list]
     decay_tab, jump_tab = _remap_tables(spec, nodes_list, lam, dt)
 
     mesh_mid = _m_mesh(grid, scale=[math.exp(l * dt / 2.0) for l in lam])
     a_mid = (a_nodes[1:] - dt / 2.0).reshape((na - 1,) + (1,) * d)
+    # an age-free f is evaluated on one row, which broadcasts over the ages
+    age_free = spec.f.age_free
+    A_f, a_mid_f = (A[:1], a_mid[:1]) if age_free else (A, a_mid)
 
     def f_grid(a_arr, m_arr, x):
         return np.asarray(spec.intensity(a_arr, m_arr, x), dtype=float)
@@ -377,17 +409,39 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
     rhos = []
     saved = []
 
-    F = f_grid(A, mesh, x[0])
+    # every full-grid array of the march: the second density buffer, the loss
+    # density f rho, and per-row memory integrals of rho, f rho, g f rho and
+    # of the negative part the clip removes
+    new = np.empty_like(rho)
+    Fn = np.empty_like(rho)
+    i_rho, i_flux, i_w, i_neg = np.zeros((4, na))
+    # blocks of rows 1 to na - 1, none of one row: numpy gathers the remap's
+    # cells of one row into a C-ordered array and those of more rows into an
+    # F-ordered one, and einsum sums the two layouts in different orders
+    rows = max(2, _BLOCK_ELEMS // rho[0].size)
+    starts = list(range(1, max(na - 1, 2), rows))
+    blocks = list(zip(starts, starts[1:] + [na]))
+
+    def tally(cur, Fc, lo, hi):
+        """Loss density and row integrals of cur[lo:hi]; True if one is < 0."""
+        blk = cur[lo:hi]
+        fb = np.multiply(Fc if age_free else Fc[lo:hi], blk, out=Fn[lo:hi])
+        i_rho[lo:hi] = _m_trapz(blk, wm)
+        i_flux[lo:hi] = _m_trapz(fb, wm)
+        if h.J != 0.0:
+            i_w[lo:hi] = _m_trapz(gmod[lo:hi] * fb, wm)
+        return bool((blk < 0.0).any())
+
+    F = f_grid(A_f, mesh, x[0])
+    tally(rho, F, 0, na)
     for n in range(G + 1):
         t_n = ts[n]
-        fr = F * rho
-        fluxint = mass(fr, grid)
+        fluxint = float(_dot_last(i_flux, wa))
         if h.J != 0.0:
-            w_hist[n] = mass(gmod * fr, grid)
-        mass_trace[n] = mass(rho, grid)
+            w_hist[n] = float(_dot_last(i_w, wa))
+        mass_trace[n] = float(_dot_last(i_rho, wa))
         if n > 0 and fluxint > 1e-300:
-            bmass = lm_mass(rho[0], nodes_list)
-            flux_rel[n] = abs(bmass - fluxint) / fluxint
+            flux_rel[n] = abs(i_rho[0] - fluxint) / fluxint
         if keep_borders:
             borders[n] = rho[0]
         for t_s in save_times:
@@ -395,7 +449,7 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
                 rhos.append(rho.copy())
                 saved.append(t_s)
         if step_callback is not None:
-            step_callback(n, t_n, rho, x[n], F)
+            step_callback(n, t_n, rho, x[n], np.broadcast_to(F, rho.shape))
         if n == G:
             break
 
@@ -405,33 +459,50 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
             x_next += dt * h.J * float(_dot_last(kv[1:n + 2][::-1], w_hist[:n + 1]))
         x_mid = 0.5 * (x[n] + x_next)
 
-        # transport with survival attenuation; the remap carries the volume
-        # factor of the decay flow
-        Fm = f_grid(a_mid, mesh_mid, x_mid)
-        sh = _pull(rho, decay_tab, 1)
-        new = np.zeros_like(rho)
-        new[1:] = sh[:-1] * np.exp(-dt * Fm)
+        # transport with survival attenuation, block by block: row i of the
+        # new density is row i - 1 of rho pulled along the decay flow (the
+        # remap carries its volume factor) times exp(-dt f) at the midpoint
+        Fm = f_grid(a_mid_f, mesh_mid, x_mid)
+        F1 = f_grid(A_f, mesh, x_next)
+        surv = np.exp(-dt * Fm) if age_free else None
+        neg = []
+        for lo, hi in blocks:
+            sh = _pull(rho[lo - 1:hi - 1], decay_tab, 1)
+            np.multiply(sh, surv if age_free else np.exp(-dt * Fm[lo - 1:hi - 1]),
+                        out=new[lo:hi])
+            if tally(new, F1, lo, hi):
+                neg.append((lo, hi))
+        # row 0 is empty until the border layer fills it
+        Fn[0] = 0.0
+        i_rho[0] = 0.0
 
         # border layer at the new time, fixed-point sweeps for the
         # self-referential age-zero node
-        F1 = f_grid(A, mesh, x_next)
-        fixed = _border(F1 * new, wa, jump_tab)
+        fixed = _border(Fn, wa, jump_tab)
         b = fixed
         for _ in range(border_sweeps):
             b = fixed + wa[0] * _pull(F1[0] * b, jump_tab, 0)
         # the injected layer balances the survival loss analytically, so it
         # enters unscaled; the implied correction factor is kept as a
         # mass-conservation diagnostic only
-        Mint = mass(new, grid)
+        Mint = float(_dot_last(i_rho, wa))
         layer = wa[0] * lm_mass(b, nodes_list)
         if layer > 1e-300:
             scale_trace[n + 1] = (mass_trace[n] - Mint) / layer
         new[0] = b
-        neg = new < 0.0
-        if neg.any():
-            clip_mass += -float(new[neg].sum()) * dt  # rough bookkeeping
-            new[neg] = 0.0
-        rho = new
+        if tally(new, F1, 0, 1):
+            neg.append((0, 1))
+        # negative nodes are set to zero; clip_mass adds up the trapezoid
+        # mass of what they held
+        for lo, hi in neg:
+            blk = new[lo:hi]
+            i_neg[lo:hi] = _m_trapz(np.minimum(blk, 0.0), wm)
+            blk[blk < 0.0] = 0.0
+            tally(new, F1, lo, hi)
+        if neg:
+            clip_mass -= float(_dot_last(i_neg, wa))
+            i_neg[:] = 0.0
+        rho, new = new, rho
         x[n + 1] = x_next
         F = F1    # f at x[n + 1], the intensity of the next step
 
@@ -483,9 +554,7 @@ def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, Hbar=None,
     the jump image; loss and gain integrands match exactly, so mass error is
     pure quadrature.
     """
-    if spec.f.family not in ("constant",) and spec.f.c_a != 0.0:
-        raise mdl.ConfigurationError("memory-only solver needs age-independent f")
-    if spec.f.family == "stp-composite":
+    if not spec.f.age_free:
         raise mdl.ConfigurationError("memory-only solver needs age-independent f")
     d = spec.d
     m_lo, m_hi, n_m = tuple(m_lo), tuple(m_hi), tuple(n_m)

@@ -183,6 +183,20 @@ def test_intensity_without_age_term_rejects_negative_age(family):
         mdl.intensity_eval(f, p, np.array([0.5, -1e-300]), np.zeros((2, 1)), 0.0)
 
 
+def test_age_free_predicate():
+    # the one rule for "f ignores age", shared by intensity_eval's compact
+    # path, the march's one-row intensity and solve_lm_pde's check
+    def spec(family, c_a):
+        f_min = 1.0 if family == "constant" else 0.3
+        return mdl.IntensitySpec(family=family, f_min=f_min, f_max=1.0, c_a=c_a)
+
+    assert spec("constant", 0.0).age_free and spec("constant", 0.7).age_free
+    for family in ("sigmoid-affine", "exp-saturating"):
+        assert spec(family, 0.0).age_free
+        assert not spec(family, 0.7).age_free
+    assert not spec("stp-composite", 0.0).age_free
+
+
 def test_intensity_spec_rejects_bad_bounds():
     with pytest.raises(mdl.ConfigurationError):
         mdl.IntensitySpec(family="sigmoid-affine", f_min=0.0, f_max=1.0)

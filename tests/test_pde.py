@@ -1,5 +1,6 @@
 """Tests for the semi-Lagrangian density solver."""
 
+import hashlib
 import json
 import math
 import os
@@ -246,7 +247,8 @@ runs = [(presets.preset("adaptation-1d"),
         (_d2_spec(), _d2_grid(T=0.5, n_m=(40, 30)))]
 for spec, grid in runs:
     sol = pde.solve_alm_pde(spec, grid, save_times=[grid.T])
-    for arr in (sol.rho_at(grid.T), sol.x.values, sol.mass_trace):
+    for arr in (sol.rho_at(grid.T), sol.x.values, sol.mass_trace,
+                sol.flux_rel, sol.scale_trace, sol.borders):
         print(hashlib.sha256(arr.tobytes()).hexdigest())
 """
 
@@ -266,8 +268,99 @@ def test_solution_bits_independent_of_blas_threads():
                               timeout=600)
         assert proc.returncode == 0, proc.stderr
         out.append(proc.stdout.split())
-    assert len(out[0]) == 6
+    assert len(out[0]) == 12
     assert out[0] == out[1]
+
+
+def _reduced_default(name, T=0.25):
+    dg = presets.default_grid(name)
+    return pde.Grid(a_max=dg.a_max, n_a=300, m_lo=dg.m_lo, m_hi=dg.m_hi,
+                    n_m=(80,), T=T, dt=0.05)
+
+
+def _lobe_u0(A, mesh):
+    # a density with a negative lobe in m, which the march clips
+    m = mesh[..., 0]
+    return np.exp(-A) * (np.exp(-(m + 1.0) ** 2 / 0.1)
+                         - 0.4 * np.exp(-(m + 0.2) ** 2 / 0.01))
+
+
+def _lobe_grid(n_m):
+    return pde.Grid(a_max=8.0, n_a=200, m_lo=(-2.5,), m_hi=(0.5,), n_m=(n_m,),
+                    T=0.4, dt=0.04)
+
+
+def _block_case(case):
+    if case in presets.PRESET_NAMES:
+        return presets.preset(case), _reduced_default(case), {}
+    if case == "d2":
+        return _d2_spec(), _d2_grid(T=0.3), {}
+    if case == "custom-jump":
+        spec = _spec(
+            f=mdl.IntensitySpec(family="sigmoid-affine", f_min=0.3,
+                                f_max=1.5, c_a=0.6, c_x=1.0, c_m=(0.5,)),
+            jump=mdl.JumpSpec(family="custom",
+                              fn=lambda m: 0.5 * np.sinh(m) - 0.3,
+                              fn_inv=lambda m: np.arcsinh(2.0 * (m + 0.3))),
+            J=0.7)
+        return spec, _lobe_grid(80), {}
+    if case == "clip":
+        return _spec(), _lobe_grid(80), {"u0": _lobe_u0}
+    if case == "no-sweeps":
+        return (presets.preset("adaptation-1d"),
+                _reduced_default("adaptation-1d"), {"border_sweeps": 0})
+    return (presets.preset("stp"), _reduced_default("stp"),
+            {"keep_borders": False})
+
+
+@pytest.mark.parametrize("case", list(presets.PRESET_NAMES) + [
+    "d2", "custom-jump", "clip", "no-sweeps", "no-borders"])
+def test_solution_bits_independent_of_block_size(case, monkeypatch):
+    # every sum of the march runs over one age row or over all of them, so
+    # the row blocks change no bit: the smallest block (two rows), a middle
+    # one that does not divide the rows, and one block for the whole grid
+    spec, grid, kw = _block_case(case)
+    row = int(np.prod([n + 1 for n in grid.n_m]))
+    m_nodes = [grid.m_nodes(k) for k in range(grid.d)]
+    digests = []
+    for elems in (1, 3 * row + 1, 1 << 40):
+        monkeypatch.setattr(pde, "_BLOCK_ELEMS", elems)
+        seen = []
+
+        def cb(n, t, rho, x_t, F):
+            assert F.shape == rho.shape and not F.flags.writeable
+            if spec.f.age_free:
+                assert F.strides[0] == 0    # evaluated on one row
+            flux = pde.mass(F * rho, grid)
+            seen.append((pde.mass(rho, grid),
+                         abs(pde.lm_mass(rho[0], m_nodes) - flux) / flux))
+
+        sol = pde.solve_alm_pde(spec, grid, save_times=[grid.T],
+                                step_callback=cb, **kw)
+        # the traces built from the row integrals are those of the whole
+        # density the callback saw, clipped rows included
+        mass, flux_rel = np.array(seen).T
+        assert np.array_equal(sol.mass_trace, mass)
+        assert np.array_equal(sol.flux_rel[1:], flux_rel[1:])
+        arrs = [sol.rho_at(grid.T), sol.x.values, sol.mass_trace,
+                sol.flux_rel, sol.scale_trace]
+        if sol.borders is not None:
+            arrs.append(sol.borders)
+        digests.append([hashlib.sha256(a.tobytes()).hexdigest() for a in arrs]
+                       + [sol.clip_mass])
+    assert digests[0] == digests[1] == digests[2]
+    assert (sol.clip_mass > 0.0) == (case == "clip")
+    assert (sol.borders is None) == (case == "no-borders")
+
+
+def test_clip_mass_is_a_trapezoid_mass():
+    # the clip removes the negative lobe's trapezoid mass, which does not
+    # grow with the memory resolution and stays below the unit total mass
+    clips = [pde.solve_alm_pde(_spec(), _lobe_grid(n_m), u0=_lobe_u0).clip_mass
+             for n_m in (40, 80, 160)]
+    assert min(clips) > 0.0
+    assert max(clips) < 1.0
+    assert max(clips) <= 1.3 * min(clips)
 
 
 # ---------------------------------------------------------------------------
