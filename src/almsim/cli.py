@@ -53,6 +53,7 @@ _NUMERICS_SCHEMA = {
         "n_replicas": {"type": "integer", "minimum": 1},
         "n_directions": {"type": "integer", "minimum": 1},
         "n_samples": {"type": "integer", "minimum": 1},
+        # accepted for old configs and ignored: replicas run serially
         "threads": {"type": "integer", "minimum": 1},
         "stride_a": {"type": "integer", "minimum": 1},
         "stride_m": {"type": "integer", "minimum": 1},
@@ -222,7 +223,7 @@ def _cmd_pathint(spec, num, seed, outdir):
     return ["pathint.csv"]
 
 
-def _cmd_converge(spec, num, seed, outdir, threads):
+def _cmd_converge(spec, num, seed, outdir):
     grid = _grid_from_numerics(num, spec)
     t_eval = num.get("t_eval", grid.T)
     sol = pde.solve_alm_pde(spec, grid, save_times=[t_eval])
@@ -232,21 +233,21 @@ def _cmd_converge(spec, num, seed, outdir, threads):
     table = metrics.convergence_study(
         spec, num.get("N_ladder", [100, 400]), t_eval,
         num.get("n_replicas", 4), seed, cloud,
-        n_directions=num.get("n_directions", 64), threads=threads)
+        n_directions=num.get("n_directions", 64))
     table.to_csv(outdir / "convergence.csv")
     with open(outdir / "convergence.json", "w") as fh:
         fh.write(table.summary_json(indent=2, sort_keys=True))
     return ["convergence.csv", "convergence.json"]
 
 
-def _cmd_couple(spec, num, seed, outdir, threads):
+def _cmd_couple(spec, num, seed, outdir):
     T = num.get("T", 5.0)
     x, report = limit.solve_x_picard(
         spec, T, dt=num.get("dt"), n_particles=num.get("n_particles", 20_000),
         seed=seed, tol=num.get("tol", 1e-4), max_iter=num.get("max_iter", 25))
     table = metrics.coupling_decay_study(
         spec, num.get("N_ladder", [100, 400]), T, x,
-        num.get("n_replicas", 4), seed, threads=threads)
+        num.get("n_replicas", 4), seed)
     table.to_csv(outdir / "coupling.csv")
     with open(outdir / "coupling.json", "w") as fh:
         fh.write(table.summary_json(indent=2, sort_keys=True))
@@ -255,7 +256,10 @@ def _cmd_couple(spec, num, seed, outdir, threads):
 
 def run(config_path, seed_override=None, out_override=None, strict=False,
         threads_override=None):
-    """Executes one configured pipeline; returns a process exit code."""
+    """Executes one configured pipeline; returns a process exit code.
+
+    threads_override, like numerics.threads, is accepted and ignored:
+    replicas run serially."""
     path = Path(config_path)
     if not path.exists():
         print(f"error: config file {path} not found", file=sys.stderr)
@@ -274,7 +278,6 @@ def run(config_path, seed_override=None, out_override=None, strict=False,
     outdir = Path(out_override or cfg.get("out", "out"))
     outdir.mkdir(parents=True, exist_ok=True)
     num = cfg.get("numerics", {})
-    threads = threads_override or num.get("threads", 1)
     command = cfg["command"]
     start = time.monotonic()
     strict_msg = None
@@ -290,9 +293,9 @@ def run(config_path, seed_override=None, out_override=None, strict=False,
         elif command == "pathint":
             artifacts = _cmd_pathint(spec, num, seed, outdir)
         elif command == "converge":
-            artifacts = _cmd_converge(spec, num, seed, outdir, threads)
+            artifacts = _cmd_converge(spec, num, seed, outdir)
         else:
-            artifacts = _cmd_couple(spec, num, seed, outdir, threads)
+            artifacts = _cmd_couple(spec, num, seed, outdir)
     except _ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -327,7 +330,8 @@ def main(argv=None):
     parser.add_argument("--strict", action="store_true",
                         help="treat numerical warnings as errors")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for replica-parallel commands")
+                        help="accepted for old command lines and ignored: "
+                             "replicas run serially")
     args = parser.parse_args(argv)
     return run(args.config, seed_override=args.seed, out_override=args.out,
                strict=args.strict, threads_override=args.threads)

@@ -12,7 +12,6 @@ import csv
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,55 +191,41 @@ class ConvergenceTable:
 
 
 def convergence_study(spec: mdl.ModelSpec, N_ladder, t_eval, n_replicas, seed,
-                      density_cloud, n_directions=64, threads=1):
+                      density_cloud, n_directions=64):
     """Empirical-measure W1 against the limit density across a ladder of N."""
-    N_ladder = list(N_ladder)
-
-    def one(args):
-        ni, rep = args
-        N = N_ladder[ni]
-        child = int(np.random.SeedSequence(seed, spawn_key=(ni, rep)).generate_state(1)[0])
+    def w1(N, child):
         rec = particle.simulate_network(spec, N, t_eval, child, save_times=[t_eval])
         pts, wts = particle.empirical_measure(rec, t_eval)
-        return ni, rep, transformed_w1(pts, wts, density_cloud, spec.psi,
-                                       n_directions=n_directions, seed=seed)
+        return transformed_w1(pts, wts, density_cloud, spec.psi,
+                              n_directions=n_directions, seed=seed)
 
-    tasks = [(ni, rep) for ni in range(len(N_ladder)) for rep in range(n_replicas)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one, tasks))
-    else:
-        results = [one(t) for t in tasks]
-    results.sort(key=lambda r: (r[0], r[1]))
-    rows = [(N_ladder[ni], rep, t_eval, v) for ni, rep, v in results]
-    return _build_table(N_ladder, n_replicas, rows, seed)
+    return _replica_study(N_ladder, n_replicas, seed, t_eval, w1)
 
 
 def coupling_decay_study(spec: mdl.ModelSpec, N_ladder, T, x_path, n_replicas,
-                         seed, threads=1):
+                         seed):
     """Pathwise coupled distance across a ladder of N, with a log-log slope."""
+    def distance(N, child):
+        return particle.simulate_coupled_pair(spec, N, T, x_path, child,
+                                              n_replicas=1).sup_distance
+
+    return _replica_study(N_ladder, n_replicas, seed, T, distance)
+
+
+def _replica_study(N_ladder, n_replicas, seed, t, task):
+    """Table of rows (N, replicate, t, task(N, child seed)) over the ladder.
+
+    The child seed of rung ni, replicate rep comes from
+    SeedSequence(seed, spawn_key=(ni, rep)).  The tasks run serially in
+    (rung, replicate) order: they are pure Python holding the GIL, and a
+    thread pool only slowed them down.
+    """
     N_ladder = list(N_ladder)
-
-    def one(args):
-        ni, rep = args
-        N = N_ladder[ni]
-        child = int(np.random.SeedSequence(seed, spawn_key=(ni, rep)).generate_state(1)[0])
-        summ = particle.simulate_coupled_pair(spec, N, T, x_path, child,
-                                              n_replicas=1)
-        return ni, rep, summ.sup_distance
-
-    tasks = [(ni, rep) for ni in range(len(N_ladder)) for rep in range(n_replicas)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one, tasks))
-    else:
-        results = [one(t) for t in tasks]
-    results.sort(key=lambda r: (r[0], r[1]))
-    rows = [(N_ladder[ni], rep, T, v) for ni, rep, v in results]
-    return _build_table(N_ladder, n_replicas, rows, seed)
-
-
-def _build_table(N_ladder, n_replicas, rows, seed):
+    rows = []
+    for ni, N in enumerate(N_ladder):
+        for rep in range(n_replicas):
+            child = np.random.SeedSequence(seed, spawn_key=(ni, rep))
+            rows.append((N, rep, t, task(N, int(child.generate_state(1)[0]))))
     values_by_N = [[v for (N, _, _, v) in rows if N == Nv] for Nv in N_ladder]
     means = {Nv: float(np.mean(vals)) for Nv, vals in zip(N_ladder, values_by_N)}
     flatN = [N for (N, _, _, _) in rows]

@@ -15,6 +15,7 @@ integrals, the border layer and the clip then run once on the whole grid.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -213,8 +214,18 @@ def _mass_remap(arr, tab: _RemapTable, axis):
 # solution container
 
 
+class _SavedDensities:
+    """rho_at for solutions holding save_times and the matching rhos."""
+
+    def rho_at(self, t):
+        for ts, r in zip(self.save_times, self.rhos):
+            if abs(ts - t) < 1e-9:
+                return r
+        raise KeyError(f"time {t} not among saved times")
+
+
 @dataclass
-class DensitySolution:
+class DensitySolution(_SavedDensities):
     grid: Grid
     save_times: np.ndarray
     rhos: list
@@ -224,12 +235,6 @@ class DensitySolution:
     scale_trace: np.ndarray
     clip_mass: float
     borders: np.ndarray = field(repr=False, default=None)
-
-    def rho_at(self, t):
-        for ts, r in zip(self.save_times, self.rhos):
-            if abs(ts - t) < 1e-9:
-                return r
-        raise KeyError(f"time {t} not among saved times")
 
 
 def _m_trapz(arr, wm):
@@ -506,9 +511,7 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
         x[n + 1] = x_next
         F = F1    # f at x[n + 1], the intensity of the next step
 
-    order = np.argsort(saved) if saved else []
-    rhos = [rhos[i] for i in order]
-    saved = [saved[i] for i in order]
+    # save_times is sorted and the march runs forward, so saved is too
     return DensitySolution(grid, np.asarray(saved), rhos, XPath(ts, x),
                            mass_trace, flux_rel, scale_trace, clip_mass, borders)
 
@@ -531,18 +534,12 @@ def border_step(spec: mdl.ModelSpec, grid: Grid, rho, x_t):
 
 
 @dataclass
-class LMDensitySolution:
+class LMDensitySolution(_SavedDensities):
     m_nodes_list: list
     save_times: np.ndarray
     rhos: list
     x: XPath
     mass_trace: np.ndarray
-
-    def rho_at(self, t):
-        for ts, r in zip(self.save_times, self.rhos):
-            if abs(ts - t) < 1e-9:
-                return r
-        raise KeyError(f"time {t} not among saved times")
 
 
 def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, Hbar=None,
@@ -570,6 +567,8 @@ def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, Hbar=None,
     else:
         rho = np.asarray(u0(mesh), dtype=float)
     tot = lm_mass(rho, nodes_list)
+    if tot <= 0:
+        raise mdl.ConfigurationError("initial density has nonpositive mass")
     rho = rho / tot
 
     decay_tab, jump_tab = _remap_tables(spec, nodes_list, lam, dt)
@@ -607,9 +606,8 @@ def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, Hbar=None,
         rho = transported * decay + gain
         x[n + 1] = x_next
 
-    order = np.argsort(saved) if saved else []
-    return LMDensitySolution(nodes_list, np.asarray([saved[i] for i in order]),
-                             [rhos[i] for i in order], XPath(ts, x), mass_trace)
+    return LMDensitySolution(nodes_list, np.asarray(saved), rhos, XPath(ts, x),
+                             mass_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -618,76 +616,47 @@ def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, Hbar=None,
 
 @dataclass
 class WeakTest:
+    """Separable test function G(t, a, m) = tau(t) alpha(a) beta(m).
+
+    tau and dtau = tau' take a time; alpha and dalpha = alpha' take an array
+    of ages; beta and grad_beta take the memory mesh (..., d), grad_beta
+    returning its gradient of shape (..., d).  Each may return a scalar for
+    a constant: values are broadcast to the shape of their argument.
+    """
     name: str
-    G: callable          # G(t, a, m) with m carrying the memory axis last
-    dG_dt: callable
-    dG_da: callable
-    dG_dm: callable      # returns shape (..., d)
+    tau: callable
+    dtau: callable
+    alpha: callable
+    dalpha: callable
+    beta: callable
+    grad_beta: callable
+
+
+def _along_m1(v, m):
+    """A memory gradient of shape m.shape with v as its first component."""
+    out = np.zeros(np.shape(m))
+    out[..., 0] = v
+    return out
 
 
 def default_test_functions(m_center=0.0):
     """Five bounded smooth test functions with closed-form derivatives."""
     c = m_center
-
-    def zeros_like_g(t, a, m):
-        return np.zeros(np.broadcast_shapes(np.shape(a), np.shape(m)[:-1]))
-
-    def grad_zero(t, a, m):
-        m = np.asarray(m)
-        return np.zeros(np.broadcast_shapes(np.shape(a), np.shape(m)[:-1]) + (m.shape[-1],))
-
-    tests = []
-    tests.append(WeakTest(
-        "const",
-        lambda t, a, m: np.ones(np.broadcast_shapes(np.shape(a), np.shape(m)[:-1])),
-        zeros_like_g, zeros_like_g, grad_zero))
-    tests.append(WeakTest(
-        "age-exp",
-        lambda t, a, m: np.exp(-a / 2.0) + 0.0 * np.asarray(m)[..., 0],
-        zeros_like_g,
-        lambda t, a, m: -0.5 * np.exp(-a / 2.0) + 0.0 * np.asarray(m)[..., 0],
-        grad_zero))
-
-    def g3(t, a, m):
-        return np.tanh(np.asarray(m)[..., 0]) + 0.0 * np.asarray(a)
-
-    def g3_dm(t, a, m):
-        m = np.asarray(m)
-        out = np.zeros(np.broadcast_shapes(np.shape(a), m.shape[:-1]) + (m.shape[-1],))
-        out[..., 0] = (1.0 - np.tanh(m[..., 0]) ** 2) + 0.0 * np.asarray(a)
-        return out
-
-    tests.append(WeakTest("mem-tanh", g3, zeros_like_g, zeros_like_g, g3_dm))
-
-    def g4(t, a, m):
-        return np.exp(-t / 2.0) * np.exp(-a / 2.0) * np.tanh(np.asarray(m)[..., 0])
-
-    tests.append(WeakTest(
-        "mixed",
-        g4,
-        lambda t, a, m: -0.5 * g4(t, a, m),
-        lambda t, a, m: -0.5 * g4(t, a, m),
-        lambda t, a, m: (lambda mm: np.stack(
-            [np.exp(-t / 2.0) * np.exp(-a / 2.0) * (1.0 - np.tanh(mm[..., 0]) ** 2)]
-            + [np.zeros(np.broadcast_shapes(np.shape(a), mm.shape[:-1]))
-               for _ in range(mm.shape[-1] - 1)], axis=-1))(np.asarray(m))))
-
-    def g5(t, a, m):
-        mm = np.asarray(m)
-        return np.exp(-(mm[..., 0] - c) ** 2) / (1.0 + a ** 2)
-
-    def g5_da(t, a, m):
-        mm = np.asarray(m)
-        return np.exp(-(mm[..., 0] - c) ** 2) * (-2.0 * a) / (1.0 + a ** 2) ** 2
-
-    def g5_dm(t, a, m):
-        mm = np.asarray(m)
-        out = np.zeros(np.broadcast_shapes(np.shape(a), mm.shape[:-1]) + (mm.shape[-1],))
-        out[..., 0] = -2.0 * (mm[..., 0] - c) * g5(t, a, m)
-        return out
-
-    tests.append(WeakTest("bump", g5, zeros_like_g, g5_da, g5_dm))
-    return tests
+    one, zero = (lambda _: 1.0), (lambda _: 0.0)
+    exp_a = lambda a: np.exp(-a / 2.0)
+    dexp_a = lambda a: -0.5 * np.exp(-a / 2.0)
+    tanh_m = lambda m: np.tanh(m[..., 0])
+    dtanh_m = lambda m: _along_m1(1.0 - np.tanh(m[..., 0]) ** 2, m)
+    bump = lambda m: np.exp(-(m[..., 0] - c) ** 2)
+    return [
+        WeakTest("const", one, zero, one, zero, one, zero),
+        WeakTest("age-exp", one, zero, exp_a, dexp_a, one, zero),
+        WeakTest("mem-tanh", one, zero, one, zero, tanh_m, dtanh_m),
+        WeakTest("mixed", exp_a, dexp_a, exp_a, dexp_a, tanh_m, dtanh_m),
+        WeakTest("bump", one, zero, lambda a: 1.0 / (1.0 + a ** 2),
+                 lambda a: -2.0 * a / (1.0 + a ** 2) ** 2, bump,
+                 lambda m: _along_m1(-2.0 * (m[..., 0] - c) * bump(m), m)),
+    ]
 
 
 def weak_form_residual(spec: mdl.ModelSpec, grid: Grid, tests=None, u0=None,
@@ -698,48 +667,69 @@ def weak_form_residual(spec: mdl.ModelSpec, grid: Grid, tests=None, u0=None,
       |int G(T) rho_T - int G(0) u0
         - int_0^T { int (dG/dt + dG/da - Lambda m . grad_m G) rho
                     + int f [G(t, 0, gamma(m)) - G(t, a, m)] rho } dt|
-    accumulated with the trapezoid rule in t during the march.
+    accumulated with the trapezoid rule in t during the march.  G is
+    separable (see WeakTest), so each step contracts rho against beta and
+    Lambda m . grad beta, and f rho against beta and beta o gamma, over the
+    memory nodes for all tests at once; age weights alpha, alpha' and
+    alpha(0) and the factors tau(t), tau'(t) finish the sums.
     Returns (residuals dict, DensitySolution).
     """
     if tests is None:
         ctr = [0.5 * (lo + hi) for lo, hi in zip(grid.m_lo, grid.m_hi)]
         tests = default_test_functions(m_center=ctr[0])
-    d = grid.d
     a_nodes = grid.a_nodes
     na = a_nodes.shape[0]
-    A = a_nodes.reshape((na,) + (1,) * d)
     mesh = _m_mesh(grid)
+    shape_m = mesh.shape[:-1]
     gam_mesh = np.asarray(mdl.jump_apply(spec.jump, mesh), dtype=float)
-    lam = spec.lam
-    G_steps = grid.n_steps
-    dt = grid.dt
+    wa = _trapz_weights(a_nodes)
+    w_mesh = functools.reduce(np.multiply.outer,
+                              [_trapz_weights(grid.m_nodes(k)) for k in range(grid.d)])
 
-    acc = np.zeros(len(tests))
-    first_term = np.zeros(len(tests))
-    last_term = np.zeros(len(tests))
+    def table(attr, arg, shape, w=1.0):
+        """One field of every test at arg, broadcast to shape, times w."""
+        vals = [np.asarray(getattr(tf, attr)(arg), dtype=float) for tf in tests]
+        return np.stack([np.broadcast_to(v, shape) for v in vals]) * w
+
+    drift = np.einsum("k...i,...i->k...", table("grad_beta", mesh, mesh.shape),
+                      spec.lam * mesh)
+    beta = table("beta", mesh, shape_m, w_mesh)
+    # memory vectors, one row per test and term: rho meets beta and
+    # Lambda m . grad beta, f rho meets beta and beta o gamma
+    v_rho = np.concatenate([beta, drift * w_mesh])
+    v_flux = np.concatenate([beta, table("beta", gam_mesh, shape_m, w_mesh)])
+    alpha = table("alpha", a_nodes, (na,), wa)
+    dalpha = table("dalpha", a_nodes, (na,), wa)
+    alpha0 = table("alpha", a_nodes[:1], (1,))[:, 0]
+    fr = np.empty((na,) + shape_m)    # f rho, written in place each step
+    n_t, dt, G_steps = len(tests), grid.dt, grid.n_steps
+    acc = np.zeros(n_t)
+    ends = {}
+
+    def per_test(arr, vecs):
+        """Memory integrals of the rows of arr against vecs, as (2, n_t, na)."""
+        out = np.einsum("am,km->ak", arr.reshape(na, -1), vecs.reshape(2 * n_t, -1))
+        return out.T.reshape(2, n_t, na)
 
     def cb(n, t, rho, x_t, F):
-        tw = dt if 0 < n < G_steps else dt / 2.0
-        for i, tf in enumerate(tests):
-            gv = np.broadcast_to(np.asarray(tf.G(t, A, mesh), dtype=float),
-                                 rho.shape)
-            adv = (np.asarray(tf.dG_dt(t, A, mesh), dtype=float)
-                   + np.asarray(tf.dG_da(t, A, mesh), dtype=float))
-            grad = np.asarray(tf.dG_dm(t, A, mesh), dtype=float)
-            drift = np.sum(grad * (lam * mesh), axis=-1)
-            g0g = np.asarray(tf.G(t, 0.0, gam_mesh), dtype=float)
-            body = (adv - drift) * rho + F * rho * (g0g - gv)
-            acc[i] += tw * mass(body, grid)
-            if n == 0:
-                first_term[i] = mass(gv * rho, grid)
-            if n == G_steps:
-                last_term[i] = mass(gv * rho, grid)
+        r_beta, r_drift = per_test(rho, v_rho)
+        f_beta, f_gam = per_test(np.multiply(F, rho, out=fr), v_flux)
+        tau = np.array([tf.tau(t) for tf in tests], dtype=float)
+        dtau = np.array([tf.dtau(t) for tf in tests], dtype=float)
+        g_mass = np.einsum("ka,ka->k", r_beta, alpha)
+        body = dtau * g_mass + tau * (
+            np.einsum("ka,ka->k", r_beta, dalpha)
+            - np.einsum("ka,ka->k", r_drift, alpha)
+            + alpha0 * np.einsum("ka,a->k", f_gam, wa)
+            - np.einsum("ka,ka->k", f_beta, alpha))
+        acc[:] += (dt if 0 < n < G_steps else dt / 2.0) * body
+        if n in (0, G_steps):
+            ends[n] = tau * g_mass
 
     sol = solve_alm_pde(spec, grid, Hbar=Hbar, u0=u0, save_times=(grid.T,),
                         step_callback=cb)
-    residuals = {tf.name: abs(last_term[i] - first_term[i] - acc[i])
-                 for i, tf in enumerate(tests)}
-    return residuals, sol
+    res = np.abs(ends[G_steps] - ends[0] - acc)
+    return {tf.name: float(r) for tf, r in zip(tests, res)}, sol
 
 
 # ---------------------------------------------------------------------------

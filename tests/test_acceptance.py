@@ -230,11 +230,11 @@ def test_criterion_08_propagation_of_chaos(preset_solutions, acceptance_log):
     t0 = time.monotonic()
     x, rep = limit.solve_x_picard(spec, T, dt=0.01, n_particles=20_000, seed=0)
     table = metrics.coupling_decay_study(spec, ladder, T, x, n_replicas=20,
-                                         seed=1, threads=8)
+                                         seed=1)
     cloud = metrics.grid_to_cloud(grid.a_nodes, [grid.m_nodes(0)],
                                   sol.rho_at(T))
     conv = metrics.convergence_study(spec, ladder, T, 20, seed=2,
-                                     density_cloud=cloud, threads=8)
+                                     density_cloud=cloud)
     wall = time.monotonic() - t0
     slope_ok = -0.7 <= table.slope <= -0.3
     trend_ok = conv.trend_pvalue < 0.05

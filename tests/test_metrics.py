@@ -9,6 +9,7 @@ import pytest
 from almsim import limit as lim
 from almsim import metrics as mt
 from almsim import model as mdl
+from almsim import particle as prt
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +180,33 @@ def test_convergence_study_shape_and_single_point(constant_rate_spec):
     assert table.slope is None and table.slope_ci is None
 
 
-def test_convergence_study_threaded_deterministic(constant_rate_spec):
+def _child_seed(seed, ni, rep):
+    return int(np.random.SeedSequence(seed, spawn_key=(ni, rep)).generate_state(1)[0])
+
+
+def test_studies_rows_equal_direct_task_calls(interacting_spec):
+    # both studies run task (rung ni, replicate rep) with the child seed
+    # SeedSequence(seed, spawn_key=(ni, rep)), in rung-then-replicate order
+    spec, ladder, T, seed = interacting_spec, [20, 10], 1.0, 4
     a_nodes, m_nodes, rho = _toy_cloud()
     cloud = mt.grid_to_cloud(a_nodes, [m_nodes], rho)
-    kw = dict(N_ladder=[20, 40], t_eval=1.0, n_replicas=2, seed=4,
-              density_cloud=cloud, n_directions=8)
-    t1 = mt.convergence_study(constant_rate_spec, threads=1, **kw)
-    t2 = mt.convergence_study(constant_rate_spec, threads=4, **kw)
-    assert t1.rows == t2.rows
-    assert t1.slope == t2.slope
+    conv = mt.convergence_study(spec, ladder, T, 2, seed=seed,
+                                density_cloud=cloud, n_directions=8)
+    ts = np.linspace(0.0, T, 101)
+    xp = lim.XPath(ts, 0.3 * ts)
+    coup = mt.coupling_decay_study(spec, ladder, T, xp, 2, seed=seed)
+    conv_rows, coup_rows = [], []
+    for ni, N in enumerate(ladder):
+        for rep in range(2):
+            child = _child_seed(seed, ni, rep)
+            rec = prt.simulate_network(spec, N, T, child, save_times=[T])
+            pts, wts = prt.empirical_measure(rec, T)
+            conv_rows.append((N, rep, T, mt.transformed_w1(
+                pts, wts, cloud, spec.psi, n_directions=8, seed=seed)))
+            pair = prt.simulate_coupled_pair(spec, N, T, xp, child, n_replicas=1)
+            coup_rows.append((N, rep, T, pair.sup_distance))
+    assert conv.rows == conv_rows
+    assert coup.rows == coup_rows
+    # the seeds reach the tasks: no two replicas give the same W1
+    assert len({v for (_, _, _, v) in conv_rows}) == 4
+    assert max(v for (_, _, _, v) in coup_rows) > 0.0

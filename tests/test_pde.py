@@ -613,6 +613,14 @@ def test_lm_rejects_age_dependent_intensity():
         pde.solve_lm_pde(spec, (-2.0,), (0.5,), (50,), 1.0, 0.01)
 
 
+def test_lm_rejects_zero_initial_mass():
+    # the same error as solve_alm_pde, not a march of NaN
+    spec = presets.preset("plain-hawkes")
+    with pytest.raises(mdl.ConfigurationError, match="nonpositive mass"):
+        pde.solve_lm_pde(spec, (-1.0,), (1.0,), (40,), 0.2, 0.02,
+                         u0=lambda mesh: np.zeros(mesh.shape[:-1]))
+
+
 # ---------------------------------------------------------------------------
 # weak form
 
@@ -622,16 +630,66 @@ def test_weak_residual_zero_test_function():
     g = pde.Grid(a_max=8.0, n_a=200, m_lo=(-2.5,), m_hi=(0.5,), n_m=(40,),
                  T=0.5, dt=0.02)
 
-    def z(t, a, m):
-        return np.zeros(np.broadcast_shapes(np.shape(a), np.shape(m)[:-1]))
+    def z(x):
+        return np.zeros(np.shape(x))
 
-    def zg(t, a, m):
-        m = np.asarray(m)
-        return np.zeros(np.broadcast_shapes(np.shape(a), m.shape[:-1])
-                        + (m.shape[-1],))
+    def zm(m):
+        return np.zeros(np.shape(m)[:-1])
 
-    res, _ = pde.weak_form_residual(spec, g, tests=[pde.WeakTest("zero", z, z, z, zg)])
+    res, _ = pde.weak_form_residual(
+        spec, g, tests=[pde.WeakTest("zero", z, z, z, z, zm, z)])
     assert res["zero"] == 0.0
+
+
+def _weak_case(case):
+    if case == "adaptation-1d":
+        return presets.preset(case), _reduced_default(case, T=0.5)
+    if case == "custom-jump":
+        spec, g, _ = _block_case(case)
+        return spec, g
+    return _d2_spec(), _d2_grid(T=0.5)
+
+
+@pytest.mark.parametrize("case", ["adaptation-1d", "custom-jump", "d2"])
+def test_weak_residual_matches_full_grid_identity(case):
+    # the identity written out on the whole (a, m) grid, G and its
+    # derivatives built from the separable factors, summed with pde.mass
+    spec, g = _weak_case(case)
+    # the defaults have alpha(0) = 1 and depend on m_1 only; "wave" has
+    # neither, and all of its factors vary
+    wave = pde.WeakTest(
+        "wave", np.cos, lambda t: -np.sin(t), lambda a: 2.0 + np.sin(a), np.cos,
+        lambda m: np.cos(m.sum(axis=-1)),
+        lambda m: -np.sin(m.sum(axis=-1))[..., None] * np.ones(m.shape[-1]))
+    tests = pde.default_test_functions(m_center=0.5 * (g.m_lo[0] + g.m_hi[0]))
+    tests.append(wave)
+    A = g.a_nodes.reshape((-1,) + (1,) * g.d)
+    mesh = np.stack(np.meshgrid(*[g.m_nodes(k) for k in range(g.d)],
+                                indexing="ij"), axis=-1)
+    gam = mdl.jump_apply(spec.jump, mesh)
+    acc = np.zeros(len(tests))
+    ends = {}
+
+    def cb(n, t, rho, x_t, F):
+        for i, tf in enumerate(tests):
+            al, dal = (np.asarray(f(A), dtype=float) for f in (tf.alpha, tf.dalpha))
+            be = np.asarray(tf.beta(mesh), dtype=float)
+            gv = tf.tau(t) * al * be + 0.0 * rho
+            grad = tf.tau(t) * al[..., None] * tf.grad_beta(mesh)
+            body = ((tf.dtau(t) * al * be + tf.tau(t) * dal * be
+                     - np.sum(grad * (spec.lam * mesh), axis=-1)) * rho
+                    + F * rho * (tf.tau(t) * tf.alpha(0.0) * tf.beta(gam) - gv))
+            acc[i] += (g.dt if 0 < n < g.n_steps else g.dt / 2.0) * pde.mass(body, g)
+            if n in (0, g.n_steps):
+                ends[n, i] = pde.mass(gv * rho, g)
+
+    sol = pde.solve_alm_pde(spec, g, step_callback=cb)
+    res, sol2 = pde.weak_form_residual(spec, g, tests=tests)
+    assert np.array_equal(sol.x.values, sol2.x.values)
+    for i, tf in enumerate(tests):
+        full = abs(ends[g.n_steps, i] - ends[0, i] - acc[i])
+        assert full > 1e-8
+        assert abs(res[tf.name] - full) <= 1e-10 * full, tf.name
 
 
 def test_weak_residual_coarse_benchmark():
