@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -254,6 +255,15 @@ def _cmd_couple(spec, num, seed, outdir):
     return ["coupling.csv", "coupling.json"]
 
 
+@functools.cache
+def _config_validator():
+    """Validator of CONFIG_SCHEMA, built on first use.  jsonschema.validate
+    checks the schema itself on every call, which took about 20 ms."""
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
+
+
 def run(config_path, seed_override=None, out_override=None, strict=False,
         threads_override=None):
     """Executes one configured pipeline; returns a process exit code.
@@ -267,7 +277,10 @@ def run(config_path, seed_override=None, out_override=None, strict=False,
     cfg_text = path.read_text()
     try:
         cfg = json.loads(cfg_text)
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
+        error = jsonschema.exceptions.best_match(
+            _config_validator().iter_errors(cfg))
+        if error is not None:
+            raise error
         spec = _load_model(cfg)
     except (json.JSONDecodeError, jsonschema.ValidationError,
             mdl.ConfigurationError) as exc:

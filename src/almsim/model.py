@@ -100,6 +100,14 @@ class IntensitySpec:
         return self.family == "constant" or (
             self.family != "stp-composite" and self.c_a == 0.0)
 
+    @property
+    def memory_free(self):
+        """True when f does not depend on memory: the constant and
+        stp-composite families, and the sigmoid-affine and exp-saturating
+        families with every c_m == 0."""
+        return self.family in ("constant", "stp-composite") or all(
+            c == 0.0 for c in self.c_m)
+
 
 def _sigmoid(u):
     # e = exp(-|u|) never overflows, and the two branches are bit for bit

@@ -91,7 +91,10 @@ def phi_0_inverse(a, m, t, spec: mdl.ModelSpec):
 
 
 def _invert_chain(times, m, t, spec: mdl.ModelSpec):
-    """Returns (m0, post_jump_points) walking the flow backwards from (t, m)."""
+    """Returns (m0, post_jump_points) walking the flow backwards from (t, m).
+
+    With times of shape (k, S, 1), S jump-time rows go back at once and each
+    returned array gains a leading axis of length S."""
     lam = spec.lam
     cur = np.atleast_1d(np.asarray(m, dtype=float))
     t_hi = t
@@ -253,6 +256,14 @@ def density_at(t, a, m, u0: mdl.InitialLaw, x, cfg: PathIntegralConfig,
 
     Returns (value, truncation_bound) with the bound the Poisson(f_max*t)
     tail beyond K_max.
+
+    For each k the backward chain runs once over all simplex nodes, and the
+    initial memory law is evaluated on all their preimages at once; the
+    survival and rate factors are then computed only at nodes whose preimage
+    density is not <= 0 (a NaN density is kept and propagates).  When f is
+    age-free, the first-segment survival integral and the rate at t_1 do not
+    depend on the initial age, so they are computed once per node instead of
+    once per initial-age node.  Neither changes a bit of the value.
     """
     lam = spec.lam
     trl = float(np.sum(lam))
@@ -273,20 +284,32 @@ def density_at(t, a, m, u0: mdl.InitialLaw, x, cfg: PathIntegralConfig,
     gl_a, gl_w = leggauss(32)
     a0_nodes = 0.5 * (gl_a + 1.0) * cut
     a0_w = 0.5 * gl_w * cut
+    ages = [(a0v, wv, float(da)) for a0v, wv, da
+            in zip(a0_nodes, a0_w, u0.density_age(a0_nodes)) if not da <= 0.0]
+    age_free = spec.f.age_free
+
+    def first_factors(a0v, t1, m0, m1, x1):
+        """exp(-int_0^t1 f) and f at t1 along the flow from (a0v, m0)."""
+        I1 = _survival_integral(spec, x, 0.0, t1, a0v, m0)
+        return math.exp(-I1), float(spec.intensity(a0v + t1, m1, x1))
+
     total = 0.0
     for k in range(1, cfg.K_max + 1):
         nodes, weights = _simplex_nodes(k - 1, tk, cfg, rng)
+        all_times = np.concatenate([nodes, np.full((nodes.shape[0], 1), tk)],
+                                   axis=1)
+        all_m0, all_posts = _invert_chain(all_times.T[:, :, None], m, t, spec)
+        all_dens = u0.density_mem(all_m0)
         acc = 0.0
-        for lead, wgt in zip(nodes, weights):
-            times = np.concatenate([lead, [tk]])
-            m0, posts = _invert_chain(times, m, t, spec)
-            dens_m = float(u0.density_mem(m0))
-            if dens_m <= 0.0:
-                continue
+        for i in np.flatnonzero(~(all_dens <= 0.0)):
+            times, m0, wgt = all_times[i], all_m0[i], weights[i]
+            dens_m = float(all_dens[i])
+            t1 = times[0]
+            m1 = m0 * np.exp(-lam * t1)
             # factors independent of the initial age
             rest = 1.0
-            mem = mdl.jump_apply(spec.jump, m0 * np.exp(-lam * times[0]))
-            t_prev = times[0]
+            mem = mdl.jump_apply(spec.jump, m1)
+            t_prev = t1
             for tj in times[1:]:
                 I = _survival_integral(spec, x, t_prev, tj, 0.0, mem)
                 rel = tj - t_prev
@@ -296,21 +319,21 @@ def density_at(t, a, m, u0: mdl.InitialLaw, x, cfg: PathIntegralConfig,
                 t_prev = tj
             rest *= math.exp(-_survival_integral(spec, x, t_prev, t, 0.0, mem))
             # initial-age integral over the first survival-and-rate factor
+            x1 = float(x(t1))
+            if age_free:
+                shared = first_factors(0.0, t1, m0, m1, x1)
             first = 0.0
-            for a0v, wv in zip(a0_nodes, a0_w):
-                da = u0.density_age(a0v)
-                if da <= 0.0:
-                    continue
-                I1 = _survival_integral(spec, x, 0.0, times[0], a0v, m0)
-                first += wv * float(da) * math.exp(-I1) * float(
-                    spec.intensity(a0v + times[0], m0 * np.exp(-lam * times[0]),
-                                   float(x(times[0]))))
+            for a0v, wv, da in ages:
+                surv1, rate1 = shared if age_free else first_factors(
+                    a0v, t1, m0, m1, x1)
+                first += wv * da * surv1 * rate1
             logdet = t * trl
             if spec.jump.family == "affine-contraction":
                 logdet += -k * spec.d * math.log(1.0 - spec.jump.alpha)
             elif spec.jump.family == "custom":
-                logdet += sum(float(mdl.jump_inverse_jacobian_logdet(spec.jump, p))
-                              for p in posts)
+                logdet += sum(
+                    float(mdl.jump_inverse_jacobian_logdet(spec.jump, p[i]))
+                    for p in all_posts)
             acc += wgt * dens_m * first * rest * math.exp(logdet)
         total += acc
     return float(total), trunc
@@ -346,8 +369,7 @@ def density_on_grid(t, a_nodes, m_nodes, u0: mdl.InitialLaw, x0,
     """
     if spec.d != 1:
         raise NotImplementedError("grid fast path implemented for d = 1")
-    f = spec.f
-    if f.family in ("sigmoid-affine", "exp-saturating") and any(c != 0.0 for c in f.c_m):
+    if not spec.f.memory_free:
         raise mdl.ConfigurationError("grid fast path needs memory-independent f")
     if spec.jump.family not in ("translation", "affine-contraction"):
         raise mdl.ConfigurationError("grid fast path needs an affine jump family")

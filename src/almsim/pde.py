@@ -388,9 +388,12 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
 
     mesh_mid = _m_mesh(grid, scale=[math.exp(l * dt / 2.0) for l in lam])
     a_mid = (a_nodes[1:] - dt / 2.0).reshape((na - 1,) + (1,) * d)
-    # an age-free f is evaluated on one row, which broadcasts over the ages
+    # an age-free f is evaluated on one row, which broadcasts over the ages,
+    # and a memory-free f on one memory node, which broadcasts over memory
     age_free = spec.f.age_free
     A_f, a_mid_f = (A[:1], a_mid[:1]) if age_free else (A, a_mid)
+    m_one = (slice(0, 1),) * d if spec.f.memory_free else ()
+    mesh_f, mesh_mid_f = mesh[m_one], mesh_mid[m_one]
 
     def f_grid(a_arr, m_arr, x):
         return np.asarray(spec.intensity(a_arr, m_arr, x), dtype=float)
@@ -437,7 +440,7 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
             i_w[lo:hi] = _m_trapz(gmod[lo:hi] * fb, wm)
         return bool((blk < 0.0).any())
 
-    F = f_grid(A_f, mesh, x[0])
+    F = f_grid(A_f, mesh_f, x[0])
     tally(rho, F, 0, na)
     for n in range(G + 1):
         t_n = ts[n]
@@ -467,8 +470,8 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
         # transport with survival attenuation, block by block: row i of the
         # new density is row i - 1 of rho pulled along the decay flow (the
         # remap carries its volume factor) times exp(-dt f) at the midpoint
-        Fm = f_grid(a_mid_f, mesh_mid, x_mid)
-        F1 = f_grid(A_f, mesh, x_next)
+        Fm = f_grid(a_mid_f, mesh_mid_f, x_mid)
+        F1 = f_grid(A_f, mesh_f, x_next)
         surv = np.exp(-dt * Fm) if age_free else None
         neg = []
         for lo, hi in blocks:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 
+import jsonschema
 import pytest
 
 from almsim import cli, particle, presets
@@ -80,6 +81,24 @@ def test_wrong_schema_version_rejected(tmp_path):
     c["schema_version"] = 2
     cfg = _write_cfg(tmp_path, c)
     assert cli.run(cfg, out_override=tmp_path / "o") == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("bad", [
+    _base("simulate", N=5, T=1.0, bogus=3),       # unknown field
+    _base("simulate", N="five", T=1.0),          # wrong type
+    _base("frobnicate"),                         # not in the command enum
+])
+def test_schema_error_message_matches_jsonschema_validate(bad, tmp_path,
+                                                          capsys):
+    # the validator built once per process reports the error that
+    # jsonschema.validate picks
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(bad, cli.CONFIG_SCHEMA)
+    for _ in range(2):
+        cfg = _write_cfg(tmp_path, bad)
+        assert cli.run(cfg, out_override=tmp_path / "o") == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"error: invalid config: {want.value}\n"
 
 
 def test_inline_model_dict_accepted(tmp_path):

@@ -197,6 +197,30 @@ def test_age_free_predicate():
     assert not spec("stp-composite", 0.0).age_free
 
 
+def test_memory_free_predicate():
+    # the rule for "f ignores memory", behind the march's one-node intensity
+    # and density_on_grid's check; f at two memories agrees exactly when the
+    # predicate holds
+    p = mdl.PsiParams(K=1.0, kappa=1.0)
+    m = np.array([[-0.8, 0.3], [0.5, -1.2]])
+
+    def check(f, free):
+        assert f.memory_free == free
+        vals = mdl.intensity_eval(f, p, np.full(2, 0.4), m[:, :len(f.c_m)],
+                                  0.2)
+        assert (vals[0] == vals[1]) == free
+
+    check(mdl.IntensitySpec(family="constant", f_min=1.0, f_max=1.0,
+                            c_m=(0.5,)), True)
+    check(mdl.IntensitySpec(family="stp-composite", f_min=0.3, f_max=1.0,
+                            c_x=1.0, c_m=(0.5,)), True)
+    for family in ("sigmoid-affine", "exp-saturating"):
+        for c_m, free in (((0.0,), True), ((0.0, 0.0), True),
+                          ((0.7,), False), ((0.0, -0.4), False)):
+            check(mdl.IntensitySpec(family=family, f_min=0.3, f_max=1.0,
+                                    c_a=0.7, c_m=c_m), free)
+
+
 def test_intensity_spec_rejects_bad_bounds():
     with pytest.raises(mdl.ConfigurationError):
         mdl.IntensitySpec(family="sigmoid-affine", f_min=0.0, f_max=1.0)

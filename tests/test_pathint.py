@@ -337,3 +337,76 @@ def test_density_grid_rejects_memory_dependent_f():
     with pytest.raises(mdl.ConfigurationError):
         pi.density_on_grid(1.0, np.array([0.5]), np.array([0.0]),
                            spec.init_law, 0.0, cfg, spec)
+
+
+def _pin_case(name):
+    """(spec, (t, a, m), config) of one pinned density_at value."""
+    from almsim import presets
+    if name == "adaptation-mc":
+        # k = 4 and 5 carry the value; k = 5 draws Monte Carlo nodes, of
+        # which some have preimages inside the initial memory law's support
+        return (presets.preset("adaptation-1d"), (0.25, 0.1, [-1.7]),
+                dict(K_max=5, gl_orders={1: 6, 2: 4, 3: 3}, mc_samples=60,
+                     seed=3))
+    if name in ("stp", "stp-nan"):
+        m = 0.3 if name == "stp" else math.nan
+        return (presets.preset("stp"), (0.3, 0.1, [m]),
+                dict(K_max=3, gl_orders={1: 8, 2: 4}, seed=1))
+    if name == "custom-jump":
+        spec = _spec(
+            f=mdl.IntensitySpec(family="sigmoid-affine", f_min=0.3, f_max=1.5,
+                                c_a=0.6, c_x=1.0, c_m=(0.5,)),
+            jump=mdl.JumpSpec(family="custom",
+                              fn=lambda m: 0.5 * np.sinh(m) - 0.3,
+                              fn_inv=lambda m: np.arcsinh(2.0 * (m + 0.3))))
+        return spec, (0.3, 0.12, [-0.45]), dict(K_max=2, gl_orders={1: 8},
+                                                seed=1)
+    if name == "d2":
+        spec = mdl.ModelSpec(
+            d=2, Lambda=(1.0, 0.5),
+            psi=mdl.PsiParams(K=1.0, kappa=1.0),
+            f=mdl.IntensitySpec(family="sigmoid-affine", f_min=0.3, f_max=2.0,
+                                c_a=0.5, c_x=0.8, c_m=(0.7, -0.4), b=0.1),
+            h=mdl.InteractionSpec(kernel="erlang", tau=0.4, J=0.9,
+                                  modulation="linear-in-m", mod_intercept=1.0,
+                                  mod_slope=0.3),
+            jump=mdl.JumpSpec(family="affine-contraction", alpha=0.3,
+                              offset=(0.2, -0.1)),
+            init_law=mdl.InitialLaw(age=("exponential", 1.0),
+                                    mem=(("uniform", -1.0, 0.0),
+                                         ("uniform", 0.0, 0.5))),
+            H=mdl.BaselineSpec(family="zero"),
+        )
+        return spec, (0.6, 0.1, [0.2, -0.15]), dict(
+            K_max=3, gl_orders={1: 8, 2: 4}, seed=1)
+    # every preimage of this memory lies outside the initial law's support
+    return (presets.preset("adaptation-1d"), (0.25, 0.1, [3.0]),
+            dict(K_max=6, seed=3))
+
+
+# (value, truncation bound) of density_at on a linear signal; the zero-jump
+# branch (a >= t) is not among them.  Each case mixes nodes with zero and
+# nonzero preimage density within one k, except custom-jump (all nonzero)
+# and zero (none); stp-nan has a NaN preimage density, which propagates
+_DENSITY_PINS = {
+    "adaptation-mc": (0.00827153791580781, 1.4164937322342495e-05),
+    "stp": (3.0956429498925555, 0.003358068853247998),
+    "stp-nan": (math.nan, 0.003358068853247998),
+    "custom-jump": (2.447109667512636, 0.010879329796724178),
+    "d2": (11.468901268773685, 0.03376896818565569),
+    "zero": (0.0, 1.0023796028842995e-06),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSITY_PINS))
+def test_density_at_pinned(name):
+    spec, (t, a, m), kw = _pin_case(name)
+    x = XPath(np.array([0.0, 1.0]), np.array([0.1, 0.4]))
+    val, trunc = pi.density_at(t, a, np.array(m), spec.init_law, x,
+                               pi.PathIntegralConfig(**kw), spec)
+    want, want_trunc = _DENSITY_PINS[name]
+    assert trunc == want_trunc
+    if math.isnan(want):
+        assert math.isnan(val)
+    else:
+        assert val == want

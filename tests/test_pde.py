@@ -331,6 +331,8 @@ def test_solution_bits_independent_of_block_size(case, monkeypatch):
             assert F.shape == rho.shape and not F.flags.writeable
             if spec.f.age_free:
                 assert F.strides[0] == 0    # evaluated on one row
+            if spec.f.memory_free:          # evaluated on one memory node
+                assert not any(F.strides[1:])
             flux = pde.mass(F * rho, grid)
             seen.append((pde.mass(rho, grid),
                          abs(pde.lm_mass(rho[0], m_nodes) - flux) / flux))
