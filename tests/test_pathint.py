@@ -1,5 +1,6 @@
 """Tests for the jump-count expansion of the limit density."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -379,16 +380,24 @@ def _pin_case(name):
         )
         return spec, (0.6, 0.1, [0.2, -0.15]), dict(
             K_max=3, gl_orders={1: 8, 2: 4}, seed=1)
+    if name in ("adaptation-k0", "stp-k0"):
+        # a >= t: the zero-jump closed form
+        preset, a, m = (("adaptation-1d", 0.5, -0.4) if name == "adaptation-k0"
+                        else ("stp", 0.7, 0.3))
+        return presets.preset(preset), (0.3, a, [m]), dict(K_max=3)
     # every preimage of this memory lies outside the initial law's support
     return (presets.preset("adaptation-1d"), (0.25, 0.1, [3.0]),
             dict(K_max=6, seed=3))
 
 
-# (value, truncation bound) of density_at on a linear signal; the zero-jump
-# branch (a >= t) is not among them.  Each case mixes nodes with zero and
-# nonzero preimage density within one k, except custom-jump (all nonzero)
-# and zero (none); stp-nan has a NaN preimage density, which propagates
+# (value, truncation bound) of density_at on a linear signal; the *-k0 cases
+# take the zero-jump branch (a >= t).  Each other case mixes nodes with zero
+# and nonzero preimage density within one k, except custom-jump (all
+# nonzero) and zero (none); stp-nan has a NaN preimage density, which
+# propagates
 _DENSITY_PINS = {
+    "adaptation-k0": (0.7756835703812676, 0.003358068853247998),
+    "stp-k0": (1.390150824667655, 0.003358068853247998),
     "adaptation-mc": (0.00827153791580781, 1.4164937322342495e-05),
     "stp": (3.0956429498925555, 0.003358068853247998),
     "stp-nan": (math.nan, 0.003358068853247998),
@@ -410,3 +419,32 @@ def test_density_at_pinned(name):
         assert math.isnan(val)
     else:
         assert val == want
+
+
+# sha256 of the float64 bytes of density_on_grid with K_max = 6, so that the
+# Monte Carlo rungs k = 5 and 6 contribute; rows at a < t, a = t and a > t
+_GRID_PINS = {
+    "translation": (
+        mdl.JumpSpec(family="translation", alpha_vec=(-0.3,)),
+        "2757e9ce692d69a233be9e5f57598d0e57f8537a4e2aedac1851d76729133665"),
+    "affine-offset": (
+        mdl.JumpSpec(family="affine-contraction", alpha=0.35, offset=(0.1,)),
+        "83c77e65de147e70c76fdeaf0e3d22751468d039741f8c118d5624d9ae2104e2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_PINS))
+def test_density_on_grid_pinned(name):
+    jump, want = _GRID_PINS[name]
+    spec = _spec(f=mdl.IntensitySpec(family="sigmoid-affine", f_min=0.2,
+                                     f_max=1.2, c_a=0.8, c_m=(0.0,), b=-0.5),
+                 jump=jump, Lambda=(0.2,),
+                 init=mdl.InitialLaw(age=("uniform", 0.0, 2.0),
+                                     mem=(("truncnorm", -0.5, 0.45, -1.8,
+                                           0.5),)))
+    grid = pi.density_on_grid(1.0, np.array([0.0, 0.3, 0.8, 1.0, 1.6]),
+                              np.linspace(-1.5, 0.5, 9), spec.init_law, 0.0,
+                              pi.PathIntegralConfig(K_max=6, seed=2), spec)
+    assert grid.shape == (5, 9) and grid.dtype == np.float64
+    got = hashlib.sha256(np.ascontiguousarray(grid).tobytes()).hexdigest()
+    assert got == want
