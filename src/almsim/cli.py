@@ -209,6 +209,9 @@ def _cmd_pathint(spec, num, seed, outdir):
     x = limit.XPath(np.array([0.0, T]), np.zeros(2))
     rows = []
     for pt in num.get("eval_points", [[T, T / 2.0, 0.0]]):
+        if len(pt) != 2 + spec.d:
+            raise mdl.ConfigurationError(
+                f"eval point {pt} needs t, a and {spec.d} memory coordinates")
         t, a = pt[0], pt[1]
         m = np.asarray(pt[2:], dtype=float)
         val, bound = pathint.density_at(t, a, m, spec.init_law, x, cfg, spec)

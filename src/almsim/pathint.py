@@ -31,6 +31,12 @@ def _check_times(times, t):
 
 @dataclass
 class PathIntegralConfig:
+    """Quadrature settings of the path-integral evaluators.
+
+    Only K_max truncates the sum over jump counts; callers derive it from a
+    tail tolerance with jump_count_tail.  tail_epsilon is validated and
+    carried along, but no evaluator reads it."""
+
     K_max: int = 6
     gl_orders: dict = field(default_factory=lambda: {1: 24, 2: 12, 3: 8})
     mc_samples: int = 2000
@@ -121,28 +127,31 @@ def phi_k_inverse(lead_times, a, m, t, spec: mdl.ModelSpec):
 
 
 def phi_k_inverse_logdet(lead_times, a, m, t, spec: mdl.ModelSpec):
-    """log |det D(phi^k_t)^{-1}| at the image point (t1..t_{k-1}, a, m).
+    """log |det D(phi^k_t)^{-1}| at the image point (t1..t_{k-1}, a, m)."""
+    lead_times = np.asarray(lead_times, dtype=float)
+    if lead_times.size == 0 and a >= t:
+        return _logdet(0, (), t, spec)
+    times = np.concatenate([lead_times, [t - a]])
+    _check_times(times, t)
+    return _logdet(times.size, _invert_chain(times, m, t, spec)[1], t, spec)
+
+
+def _logdet(k, posts, t, spec: mdl.ModelSpec):
+    """log |det D(phi^k_t)^{-1}| given the k post-jump points of the backward
+    chain (an iterable, read only for a custom jump).
 
     The Jacobian is block triangular in (times, memory); the time block has
     unit absolute determinant, leaving exp(t TrLambda) times the product of
     jump-inverse determinants along the backward chain.
     """
-    lead_times = np.asarray(lead_times, dtype=float)
-    lam = spec.lam
-    base = t * float(np.sum(lam))
-    if lead_times.size == 0 and a >= t:
-        return base
-    tk = t - a
-    times = np.concatenate([lead_times, [tk]])
-    _check_times(times, t)
+    base = t * float(np.sum(spec.lam))
     j = spec.jump
     if j.family == "translation":
         return base
     if j.family == "affine-contraction":
-        return base - times.size * spec.d * math.log(1.0 - j.alpha)
-    _, posts = _invert_chain(times, m, t, spec)
-    extra = sum(float(mdl.jump_inverse_jacobian_logdet(j, p)) for p in posts)
-    return base + extra
+        return base - k * spec.d * math.log(1.0 - j.alpha)
+    return base + sum(float(mdl.jump_inverse_jacobian_logdet(j, p))
+                      for p in posts)
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +172,13 @@ def _survival_integral(spec, x, t_a, t_b, age_at_a, mem_at_a):
     return val
 
 
-def _eta_chain(times, a0, m0, x, spec):
-    """Product of inter-jump survival and rate factors; returns the running
-    density together with the post-last-jump memory and last jump time."""
+def _eta_chain(times, a0, m0, x, spec, t0=0.0, t=None):
+    """Product of the survival and rate factors of jumps at `times` along the
+    flow from (a0, m0) at time t0; with t, times the no-further-jump survival
+    on (t_k, t]."""
     lam = spec.lam
     eta = 1.0
-    t_prev = 0.0
+    t_prev = t0
     age = float(a0)
     mem = np.atleast_1d(np.asarray(m0, dtype=float)).copy()
     for tk in times:
@@ -180,7 +190,9 @@ def _eta_chain(times, a0, m0, x, spec):
         mem = mdl.jump_apply(spec.jump, mem_k)
         age = 0.0
         t_prev = tk
-    return eta, mem, t_prev
+    if t is None:
+        return eta
+    return eta * math.exp(-_survival_integral(spec, x, t_prev, t, age, mem))
 
 
 def eta_k(times, a0, m0, x, spec: mdl.ModelSpec):
@@ -188,7 +200,7 @@ def eta_k(times, a0, m0, x, spec: mdl.ModelSpec):
     times = np.asarray(times, dtype=float)
     if times.size and (np.any(np.diff(times) <= 0) or times[0] <= 0):
         raise ValueError("jump times must be strictly increasing and positive")
-    return _eta_chain(times, a0, m0, x, spec)[0]
+    return _eta_chain(times, a0, m0, x, spec)
 
 
 def nu_k(t, times, a0, m0, x, spec: mdl.ModelSpec):
@@ -196,10 +208,7 @@ def nu_k(t, times, a0, m0, x, spec: mdl.ModelSpec):
     times = np.asarray(times, dtype=float)
     if times.size and times[-1] > t:
         raise ValueError("need t >= t_k")
-    eta, mem, t_prev = _eta_chain(times, a0, m0, x, spec)
-    I = _survival_integral(spec, x, t_prev, t, 0.0 if times.size else float(a0),
-                           mem)
-    return eta * math.exp(-I)
+    return _eta_chain(times, a0, m0, x, spec, t=t)
 
 
 def jump_count_tail(T, f_max, epsilon):
@@ -217,8 +226,10 @@ def jump_count_tail(T, f_max, epsilon):
 # simplex quadrature helpers
 
 
-def _simplex_nodes(dims, t_hi, cfg: PathIntegralConfig, rng):
-    """Nodes and weights integrating over 0 < t1 < ... < t_dims < t_hi."""
+def _simplex_nodes(dims, t_hi, cfg: PathIntegralConfig, rng, n_mc):
+    """Nodes and weights integrating over 0 < t1 < ... < t_dims < t_hi:
+    tensor Gauss-Legendre up to max(cfg.gl_orders) dimensions, n_mc sorted
+    uniform draws beyond."""
     if dims == 0:
         return np.zeros((1, 0)), np.ones(1)
     if dims <= max(cfg.gl_orders):
@@ -240,10 +251,9 @@ def _simplex_nodes(dims, t_hi, cfg: PathIntegralConfig, rng):
             jacw = jacw * V[:, j] ** j
         weights = W * (t_hi ** dims) * jacw
         return times, weights
-    n = cfg.mc_samples
-    times = np.sort(rng.random((n, dims)) * t_hi, axis=1)
+    times = np.sort(rng.random((n_mc, dims)) * t_hi, axis=1)
     vol = t_hi ** dims / math.factorial(dims)
-    return times, np.full(n, vol / n)
+    return times, np.full(n_mc, vol / n_mc)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +265,8 @@ def density_at(t, a, m, u0: mdl.InitialLaw, x, cfg: PathIntegralConfig,
     """Density value at (t, a, m) summed over jump counts up to K_max.
 
     Returns (value, truncation_bound) with the bound the Poisson(f_max*t)
-    tail beyond K_max.
+    tail beyond K_max.  Raises ValueError unless t and a are finite and
+    nonnegative and m has spec.d coordinates.
 
     For each k the backward chain runs once over all simplex nodes, and the
     initial memory law is evaluated on all their preimages at once; the
@@ -265,18 +276,18 @@ def density_at(t, a, m, u0: mdl.InitialLaw, x, cfg: PathIntegralConfig,
     depend on the initial age, so they are computed once per node instead of
     once per initial-age node.  Neither changes a bit of the value.
     """
-    lam = spec.lam
-    trl = float(np.sum(lam))
     m = np.atleast_1d(np.asarray(m, dtype=float))
+    if not (0 <= t < math.inf and 0 <= a < math.inf) or m.shape != (spec.d,):
+        raise ValueError(f"density_at needs finite t, a >= 0 and {spec.d} "
+                         f"memory coordinates, got t={t}, a={a}, m={m}")
     trunc = float(poisson.sf(cfg.K_max, spec.f_max * t))
     if a >= t:
-        a0 = a - t
-        m0 = m * np.exp(lam * t)
+        a0, m0 = phi_0_inverse(a, m, t, spec)
         base = u0.density(a0, m0)
         if base <= 0.0:
             return 0.0, trunc
-        I = _survival_integral_back(spec, x, t, a, m)
-        return float(base * math.exp(t * trl - I)), trunc
+        I = _survival_integral(spec, x, 0.0, t, a0, m0)
+        return float(base * math.exp(_logdet(0, (), t, spec) - I)), trunc
 
     tk = t - a
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
@@ -295,29 +306,19 @@ def density_at(t, a, m, u0: mdl.InitialLaw, x, cfg: PathIntegralConfig,
 
     total = 0.0
     for k in range(1, cfg.K_max + 1):
-        nodes, weights = _simplex_nodes(k - 1, tk, cfg, rng)
+        nodes, weights = _simplex_nodes(k - 1, tk, cfg, rng, cfg.mc_samples)
         all_times = np.concatenate([nodes, np.full((nodes.shape[0], 1), tk)],
                                    axis=1)
         all_m0, all_posts = _invert_chain(all_times.T[:, :, None], m, t, spec)
         all_dens = u0.density_mem(all_m0)
         acc = 0.0
         for i in np.flatnonzero(~(all_dens <= 0.0)):
-            times, m0, wgt = all_times[i], all_m0[i], weights[i]
-            dens_m = float(all_dens[i])
+            times, m0 = all_times[i], all_m0[i]
             t1 = times[0]
-            m1 = m0 * np.exp(-lam * t1)
-            # factors independent of the initial age
-            rest = 1.0
-            mem = mdl.jump_apply(spec.jump, m1)
-            t_prev = t1
-            for tj in times[1:]:
-                I = _survival_integral(spec, x, t_prev, tj, 0.0, mem)
-                rel = tj - t_prev
-                rest *= math.exp(-I) * float(
-                    spec.intensity(rel, mem * np.exp(-lam * rel), float(x(tj))))
-                mem = mdl.jump_apply(spec.jump, mem * np.exp(-lam * rel))
-                t_prev = tj
-            rest *= math.exp(-_survival_integral(spec, x, t_prev, t, 0.0, mem))
+            m1 = m0 * np.exp(-spec.lam * t1)
+            # the chain after the first jump does not depend on the initial age
+            rest = _eta_chain(times[1:], 0.0, mdl.jump_apply(spec.jump, m1), x,
+                              spec, t0=t1, t=t)
             # initial-age integral over the first survival-and-rate factor
             x1 = float(x(t1))
             if age_free:
@@ -327,28 +328,11 @@ def density_at(t, a, m, u0: mdl.InitialLaw, x, cfg: PathIntegralConfig,
                 surv1, rate1 = shared if age_free else first_factors(
                     a0v, t1, m0, m1, x1)
                 first += wv * da * surv1 * rate1
-            logdet = t * trl
-            if spec.jump.family == "affine-contraction":
-                logdet += -k * spec.d * math.log(1.0 - spec.jump.alpha)
-            elif spec.jump.family == "custom":
-                logdet += sum(
-                    float(mdl.jump_inverse_jacobian_logdet(spec.jump, p[i]))
-                    for p in all_posts)
-            acc += wgt * dens_m * first * rest * math.exp(logdet)
+            logdet = _logdet(k, (p[i] for p in all_posts), t, spec)
+            acc += (weights[i] * float(all_dens[i]) * first * rest
+                    * math.exp(logdet))
         total += acc
     return float(total), trunc
-
-
-def _survival_integral_back(spec, x, t, a, m):
-    """int_0^t f along the zero-jump characteristic ending at (a, m) at time t."""
-    lam = spec.lam
-
-    def ig(s):
-        return float(spec.intensity(a - t + s, m * np.exp(lam * (t - s)),
-                                    float(x(s))))
-
-    val, _ = quad(ig, 0.0, t, epsabs=1e-13, epsrel=1e-9, limit=200)
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +350,8 @@ def density_on_grid(t, a_nodes, m_nodes, u0: mdl.InitialLaw, x0,
     Requires d = 1, a translation or affine-contraction jump, a memory- and
     signal-independent intensity (x frozen at the constant x0), and a product
     initial law.  Survival integrals reduce to a tabulated cumulative of f.
+    Jump counts k > 1 + max(cfg.gl_orders) draw _mc_budget(k) Monte Carlo
+    nodes; cfg.mc_samples is not read.
     """
     if spec.d != 1:
         raise NotImplementedError("grid fast path implemented for d = 1")
@@ -410,31 +396,10 @@ def density_on_grid(t, a_nodes, m_nodes, u0: mdl.InitialLaw, x0,
     def u0mem(v):
         return np.asarray(u0.density_mem(np.asarray(v)[..., None]), dtype=float)
 
+    # the jump's linear factor; the backward chain is m0 = p*m + q with
+    # p = exp(lam t) / ctr^k and q the preimage of m = 0
     j = spec.jump
-    if j.family == "translation":
-        alpha = j.alpha_vec[0]
-        ctr = 1.0
-        beta = alpha
-    else:
-        ctr = 1.0 - j.alpha
-        beta = float(j.offset_vec(1)[0])
-
-    def chain_coeffs(times):
-        """m0 = p*m + q for each row of jump times (S, k)."""
-        S, k = times.shape
-        p = math.exp(lam0 * t) / (ctr ** k)
-        q = np.zeros(S)
-        t_hi = np.full(S, t)
-        pq = np.ones(S)
-        for col in range(k - 1, -1, -1):
-            tc = times[:, col]
-            pq = pq * np.exp(lam0 * (t_hi - tc))
-            q = q * np.exp(lam0 * (t_hi - tc))
-            q = (q - beta) / ctr
-            t_hi = tc
-        q = q * np.exp(lam0 * t_hi)
-        return p, q
-
+    ctr = 1.0 - j.alpha if j.family == "affine-contraction" else 1.0
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     out = np.zeros((a_nodes.shape[0], m_nodes.shape[0]))
 
@@ -447,22 +412,13 @@ def density_on_grid(t, a_nodes, m_nodes, u0: mdl.InitialLaw, x0,
         base_m = u0mem(m_nodes * math.exp(lam0 * t)) * math.exp(lam0 * t)
         out[hi] = base_a[:, None] * base_m[None, :]
 
-    lo_idx = np.nonzero(~hi)[0]
-    for ridx in lo_idx:
+    for ridx in np.nonzero(~hi)[0]:
         a = a_nodes[ridx]
         tk = t - a
-        if tk <= 0:
-            continue
         row = np.zeros(m_nodes.shape[0])
         surv_last = math.exp(-F(a))
         for k in range(1, cfg.K_max + 1):
-            dims = k - 1
-            if dims <= max(cfg.gl_orders):
-                nodes, weights = _simplex_nodes(dims, tk, cfg, rng)
-            else:
-                n = _mc_budget(k)
-                nodes = np.sort(rng.random((n, dims)) * tk, axis=1)
-                weights = np.full(n, (tk ** dims) / math.factorial(dims) / n)
+            nodes, weights = _simplex_nodes(k - 1, tk, cfg, rng, _mc_budget(k))
             times = np.concatenate([nodes, np.full((nodes.shape[0], 1), tk)], axis=1)
             amp = A1(times[:, 0])
             if k > 1:
@@ -472,7 +428,9 @@ def density_on_grid(t, a_nodes, m_nodes, u0: mdl.InitialLaw, x0,
             keep = amp > 0.0
             if not keep.any():
                 continue
-            p, q = chain_coeffs(times[keep])
+            p = math.exp(lam0 * t) / (ctr ** k)
+            q = _invert_chain(times[keep].T[:, :, None], np.zeros(1), t,
+                              spec)[0][:, 0]
             dens = u0mem(p * m_nodes[None, :] + q[:, None])
             row += p * (amp[keep] @ dens)
         out[ridx] = row

@@ -175,6 +175,22 @@ def test_pathint_default_eval_point(tmp_path):
     assert float(rows[1][3]) >= 0.0
 
 
+@pytest.mark.parametrize("point", [
+    [-0.25, 0.1, -0.5],         # negative time
+    [0.25, -0.1, -0.5],         # negative age
+    [float("nan"), 0.1, -0.5],  # NaN time, written as the JSON literal NaN
+    [0.25],                     # no age, no memory
+    [0.25, 0.1],                # no memory
+    [0.25, 0.1, -0.5, 0.3],     # two memory coordinates on a d = 1 model
+])
+def test_pathint_malformed_eval_point_rejected(point, tmp_path):
+    cfg = _write_cfg(tmp_path, _base("pathint", T=0.25, K_max=2,
+                                     eval_points=[[0.25, 0.1, -0.5], point]))
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_override=out) == cli.EXIT_VALIDATION
+    assert not (out / "pathint.csv").exists()
+
+
 def test_limit_nonconvergence_strict_exit(tmp_path):
     numerics = dict(T=1.0, dt=0.02, n_particles=200, tol=1e-15, max_iter=2)
     cfg = _write_cfg(tmp_path, _base("limit", **numerics))

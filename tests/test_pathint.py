@@ -261,6 +261,22 @@ def test_density_k0_branch_closed_form():
     assert v0 == 0.0
 
 
+@pytest.mark.parametrize("t, a, m", [
+    (-0.1, 0.2, [0.0]),
+    (0.5, -0.1, [0.0]),
+    (math.nan, 0.2, [0.0]),
+    (math.inf, 0.2, [0.0]),
+    (0.5, math.inf, [0.0]),
+    (0.5, 0.2, []),
+    (0.5, 0.2, [0.0, 0.1]),
+])
+def test_density_at_rejects_malformed_point(t, a, m):
+    spec = _spec()
+    with pytest.raises(ValueError):
+        pi.density_at(t, a, np.array(m), spec.init_law, ZERO_X,
+                      pi.PathIntegralConfig(K_max=2), spec)
+
+
 def test_density_grid_matches_pointwise():
     spec = _spec(Lambda=(0.2,),
                  init=mdl.InitialLaw(age=("uniform", 0.0, 2.0),
