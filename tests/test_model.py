@@ -311,6 +311,52 @@ def test_custom_jump_fd_jacobian_matches_analytic():
     assert np.max(np.abs(fd - analytic)) < 1e-6
 
 
+def test_affine_default_offset_same_bits_as_explicit():
+    # d = 2: an affine contraction without an offset is the one with offset
+    # (alpha, alpha), to the bit, in every route that applies the jump
+    from almsim import particle, pathint, pde
+    from almsim.limit import XPath
+
+    def spec(offset):
+        return mdl.ModelSpec(
+            d=2, Lambda=(1.0, 0.5),
+            f=mdl.IntensitySpec(family="sigmoid-affine", f_min=0.3, f_max=2.0,
+                                c_a=0.5, c_x=0.8, c_m=(0.7, -0.4), b=0.1),
+            h=mdl.InteractionSpec(kernel="exponential", tau=0.4, J=0.9,
+                                  modulation="none"),
+            jump=mdl.JumpSpec(family="affine-contraction", alpha=0.3,
+                              offset=offset),
+            init_law=mdl.InitialLaw(age=("exponential", 1.0),
+                                    mem=(("uniform", -1.0, 0.0),
+                                         ("uniform", 0.0, 0.5))),
+        )
+
+    s0, s1 = spec(None), spec((0.3, 0.3))
+    m = np.random.default_rng(5).normal(0.0, 1.0, (7, 2))
+    for fn in (mdl.jump_apply, mdl.jump_inverse):
+        assert fn(s0.jump, m).tobytes() == fn(s1.jump, m).tobytes()
+    nodes = [np.linspace(-1.5, 0.5, 21), np.linspace(-0.5, 1.0, 17)]
+    tabs = [pde._remap_tables(s, nodes, s.lam, 0.1)[1] for s in (s0, s1)]
+    for t0, t1 in zip(*tabs):
+        for name in ("idx", "w_m", "w_0", "w_1"):
+            assert getattr(t0, name).tobytes() == getattr(t1, name).tobytes()
+        assert all(np.array_equal(e0, e1) for e0, e1 in zip(t0.ends, t1.ends))
+    recs = [particle.simulate_network(s, 6, 2.0, 3, save_times=(1.0, 2.0))
+            for s in (s0, s1)]
+    assert len(recs[0].events) == len(recs[1].events) > 5
+    for e0, e1 in zip(recs[0].events, recs[1].events):
+        assert (e0.time, e0.neuron, e0.age_before) == (e1.time, e1.neuron,
+                                                       e1.age_before)
+        assert e0.memory_before.tobytes() == e1.memory_before.tobytes()
+    for p0, p1 in zip(recs[0].snapshots, recs[1].snapshots):
+        assert p0.memories.tobytes() == p1.memories.tobytes()
+    x = XPath(np.array([0.0, 1.0]), np.array([0.1, 0.4]))
+    cfg = pathint.PathIntegralConfig(K_max=2, gl_orders={1: 6, 2: 3}, seed=1)
+    vals = [pathint.density_at(0.6, 0.1, np.array([0.2, 0.35]), s.init_law,
+                               x, cfg, s) for s in (s0, s1)]
+    assert vals[0] == vals[1] and vals[0][0] > 0.0
+
+
 @given(alpha=st.floats(0.01, 0.99), m=st.floats(-5.0, 5.0))
 @settings(max_examples=200, deadline=None)
 def test_affine_contraction_is_strict_contraction(alpha, m):
