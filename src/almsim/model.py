@@ -233,7 +233,8 @@ class JumpSpec:
     """Memory jump mapping gamma(m) = m + Gamma(m).
 
     translation        : gamma(m) = m + alpha_vec
-    affine-contraction : gamma(m) = offset + (1 - alpha) * m, alpha in (0, 1)
+    affine-contraction : gamma(m) = offset + (1 - alpha) * m, alpha in (0, 1);
+                         offset None means alpha on every axis
     custom             : user callables fn / fn_inv (fn_inv optional)
     """
 
@@ -247,39 +248,38 @@ class JumpSpec:
     def __post_init__(self):
         if self.family not in ("translation", "affine-contraction", "custom"):
             raise ConfigurationError(f"unknown jump family {self.family!r}")
-        if self.family == "affine-contraction":
-            if not (0.0 < self.alpha < 1.0):
-                raise ConfigurationError("affine-contraction needs alpha in (0,1)")
-            if self.offset is None:
-                object.__setattr__(self, "offset", None)
+        if self.family == "affine-contraction" and not (0.0 < self.alpha < 1.0):
+            raise ConfigurationError("affine-contraction needs alpha in (0,1)")
         if self.family == "custom" and self.fn is None:
             raise ConfigurationError("custom jump needs fn")
 
-    def offset_vec(self, d):
-        if self.offset is not None:
-            return np.asarray(self.offset, dtype=float)
-        return np.full(d, self.alpha)
+    @property
+    def affine(self):
+        """(c, b) with gamma(m) = b + c*m, b a float64 array that broadcasts
+        against the memory; None for a custom map."""
+        if self.family == "translation":
+            return 1.0, np.asarray(self.alpha_vec, dtype=float)
+        if self.family == "affine-contraction":
+            b = self.alpha if self.offset is None else self.offset
+            return 1.0 - self.alpha, np.asarray(b, dtype=float)
+        return None
 
 
 def jump_apply(j: JumpSpec, m):
     """gamma(m); m has the memory dimension last."""
     m = np.atleast_1d(np.asarray(m, dtype=float))
-    d = m.shape[-1]
-    if j.family == "translation":
-        return m + np.asarray(j.alpha_vec, dtype=float)
-    if j.family == "affine-contraction":
-        return j.offset_vec(d) + (1.0 - j.alpha) * m
+    if j.affine is not None:
+        c, b = j.affine
+        return b + c * m
     return np.asarray(j.fn(m), dtype=float)
 
 
 def jump_inverse(j: JumpSpec, m):
     """gamma^{-1}(m); round-trips with jump_apply to ~1e-12."""
     m = np.atleast_1d(np.asarray(m, dtype=float))
-    d = m.shape[-1]
-    if j.family == "translation":
-        return m - np.asarray(j.alpha_vec, dtype=float)
-    if j.family == "affine-contraction":
-        return (m - j.offset_vec(d)) / (1.0 - j.alpha)
+    if j.affine is not None:
+        c, b = j.affine
+        return (m - b) / c
     if j.fn_inv is None:
         raise ConfigurationError("custom jump has no inverse")
     return np.asarray(j.fn_inv(m), dtype=float)
@@ -289,10 +289,9 @@ def jump_inverse_jacobian_logdet(j: JumpSpec, m):
     """log |det D gamma^{-1}(m)|; finite differences for custom specs."""
     m = np.atleast_1d(np.asarray(m, dtype=float))
     d = m.shape[-1]
-    if j.family == "translation":
-        return np.zeros(m.shape[:-1])
-    if j.family == "affine-contraction":
-        return np.full(m.shape[:-1], -d * math.log(1.0 - j.alpha))
+    if j.affine is not None:
+        # 0.0 - 0.0 keeps a translation's +0.0
+        return np.full(m.shape[:-1], 0.0 - d * math.log(j.affine[0]))
     if j.fn_inv is None:
         raise ConfigurationError("custom jump has no inverse")
     scale = max(1.0, float(np.max(np.abs(m))))
@@ -582,7 +581,7 @@ def memory_box(spec: ModelSpec):
     j = spec.jump
     d = spec.d
     if j.family == "affine-contraction":
-        off = j.offset_vec(d)
+        off = j.affine[1]
         lo = np.minimum(0.0, off / j.alpha)
         hi = np.maximum(0.0, off / j.alpha)
         pad = 0.05 * (hi - lo + 1.0)

@@ -183,22 +183,15 @@ def make_scalar_intensity(spec: mdl.ModelSpec):
     return fn
 
 
-def _broadcast_const(v):
-    return float(v[0]) if len(v) == 1 else np.asarray(v, dtype=float)
-
-
 def make_scalar_jump(j: mdl.JumpSpec):
     """gamma for one neuron's memory: a float when d = 1, a (d,) array
-    otherwise.  The constants broadcast as in mdl.jump_apply, so either
-    form gives its numbers; a custom map is applied to a batch of one."""
-    if j.family == "translation":
-        a0 = _broadcast_const(j.alpha_vec)
-        return lambda m: m + a0
-    if j.family == "affine-contraction":
-        off = _broadcast_const(j.offset_vec(1))
-        c = 1.0 - j.alpha
-        return lambda m: off + c * m
-    return lambda m: mdl.jump_apply(j, np.asarray([m]))[0]
+    otherwise, with the numbers of mdl.jump_apply (a one-element b is a
+    float); a custom map is applied to a batch of one."""
+    if j.affine is None:
+        return lambda m: mdl.jump_apply(j, np.asarray([m]))[0]
+    c, b = j.affine
+    b = b.item() if b.size == 1 else b
+    return lambda m: b + c * m
 
 
 def _memory_decay(spec, mems0):
@@ -258,6 +251,8 @@ def _logged_run(spec, N, T, seed, save_times, event_cap, rng, trace, step,
     """_thin with snapshots of state_at(ts) -> (ages, memories), assembled
     into the SimulationRecord of one network run."""
     save_times = np.asarray(sorted(save_times), dtype=float)
+    if not np.all((save_times >= 0.0) & (save_times <= T)):
+        raise ValueError(f"save times must lie in [0, {T}]")
     snapshots = []
 
     def snapshot(ts):
@@ -436,14 +431,15 @@ def simulate_equivalent_hawkes(spec: mdl.ModelSpec, N: int, T: float, seed: int,
     seed the candidate stream matches simulate_network, so the event logs
     must coincide.
     """
-    if spec.d != 1 or spec.jump.family != "translation":
+    affine = spec.jump.affine
+    if spec.d != 1 or affine is None or affine[0] != 1.0:
         raise mdl.ConfigurationError(
             "kernel-form simulation needs d=1 and a translation jump")
     if check_assumptions:
         _ensure_assumptions(spec)
     rng, ages0, mems0, trace = _start(spec, N, seed)
     lam0 = float(spec.lam[0])
-    alpha = spec.jump.alpha_vec[0]
+    alpha = affine[1].item()
     f = make_scalar_intensity(spec)
     gmod = _scalar_modulation(spec)
     m0 = mems0[:, 0]
@@ -497,6 +493,6 @@ def snapshots_to_csv(record: SimulationRecord, path):
         w.writerow(["t", "neuron", "age"] + [f"m{k+1}" for k in range(d)] + ["X"])
         for snap in record.snapshots:
             for i in range(len(snap.ages)):
-                w.writerow([repr(snap.t), i, repr(float(snap.ages[i]))]
+                w.writerow([repr(float(snap.t)), i, repr(float(snap.ages[i]))]
                            + [repr(float(v)) for v in snap.memories[i]]
                            + [repr(snap.X)])

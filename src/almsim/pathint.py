@@ -146,10 +146,8 @@ def _logdet(k, posts, t, spec: mdl.ModelSpec):
     """
     base = t * float(np.sum(spec.lam))
     j = spec.jump
-    if j.family == "translation":
-        return base
-    if j.family == "affine-contraction":
-        return base - k * spec.d * math.log(1.0 - j.alpha)
+    if j.affine is not None:
+        return base - k * spec.d * math.log(j.affine[0])
     return base + sum(float(mdl.jump_inverse_jacobian_logdet(j, p))
                       for p in posts)
 
@@ -347,7 +345,7 @@ def density_on_grid(t, a_nodes, m_nodes, u0: mdl.InitialLaw, x0,
                     cfg: PathIntegralConfig, spec: mdl.ModelSpec):
     """Fast evaluation of the path-integral density on a (a, m) grid.
 
-    Requires d = 1, a translation or affine-contraction jump, a memory- and
+    Requires d = 1, an affine jump b + c*m, a memory- and
     signal-independent intensity (x frozen at the constant x0), and a product
     initial law.  Survival integrals reduce to a tabulated cumulative of f.
     Jump counts k > 1 + max(cfg.gl_orders) draw _mc_budget(k) Monte Carlo
@@ -357,8 +355,8 @@ def density_on_grid(t, a_nodes, m_nodes, u0: mdl.InitialLaw, x0,
         raise NotImplementedError("grid fast path implemented for d = 1")
     if not spec.f.memory_free:
         raise mdl.ConfigurationError("grid fast path needs memory-independent f")
-    if spec.jump.family not in ("translation", "affine-contraction"):
-        raise mdl.ConfigurationError("grid fast path needs an affine jump family")
+    if spec.jump.affine is None:
+        raise mdl.ConfigurationError("grid fast path needs an affine jump")
     lam0 = float(spec.lam[0])
     a_nodes = np.asarray(a_nodes, dtype=float)
     m_nodes = np.asarray(m_nodes, dtype=float)
@@ -398,8 +396,7 @@ def density_on_grid(t, a_nodes, m_nodes, u0: mdl.InitialLaw, x0,
 
     # the jump's linear factor; the backward chain is m0 = p*m + q with
     # p = exp(lam t) / ctr^k and q the preimage of m = 0
-    j = spec.jump
-    ctr = 1.0 - j.alpha if j.family == "affine-contraction" else 1.0
+    ctr = spec.jump.affine[0]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     out = np.zeros((a_nodes.shape[0], m_nodes.shape[0]))
 

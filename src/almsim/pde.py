@@ -32,6 +32,10 @@ from .limit import XPath
 
 @dataclass(frozen=True)
 class Grid:
+    """Grid of the march.  Age nodes are dt apart, a_max/dt + 1 of them,
+    because each step moves a row one age node; n_a sets no resolution and
+    is only checked to make a_max/n_a a whole multiple of dt.  Memory axis k
+    has n_m[k] + 1 uniform nodes on [m_lo[k], m_hi[k]]."""
     a_max: float
     n_a: int
     m_lo: tuple
@@ -237,6 +241,16 @@ class DensitySolution(_SavedDensities):
     borders: np.ndarray = field(repr=False, default=None)
 
 
+def _step_save_times(save_times, ts):
+    """save_times sorted, each checked to be a step time ts[n] within 1e-9."""
+    save_times = np.asarray(sorted(save_times), dtype=float)
+    for t_s in save_times:
+        if not np.any(np.abs(ts - t_s) < 1e-9):
+            raise mdl.ConfigurationError(
+                f"save time {t_s:g} is not a step time in [0, {ts[-1]:g}]")
+    return save_times
+
+
 def _m_trapz(arr, wm):
     """Trapezoid integral over the trailing memory axes, last axis first, with
     the per-axis weights wm.  Each leading index is summed on its own, so a
@@ -268,30 +282,6 @@ def _m_mesh(grid: Grid, scale=None):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-def _gamma_axis_targets(spec, nodes, k):
-    j = spec.jump
-    if j.family == "translation":
-        return nodes - j.alpha_vec[k]
-    if j.family == "affine-contraction":
-        off = j.offset_vec(spec.d)
-        return (nodes - off[k]) / (1.0 - j.alpha)
-    if spec.d == 1:
-        return mdl.jump_inverse(j, nodes[:, None])[:, 0]
-    raise NotImplementedError("custom jumps on grids need d = 1")
-
-
-def _gamma_axis_dslope(spec, nodes, k):
-    """Derivative of the axis-k inverse jump map at the grid nodes."""
-    j = spec.jump
-    if j.family == "translation":
-        return 1.0
-    if j.family == "affine-contraction":
-        return 1.0 / (1.0 - j.alpha)
-    if spec.d == 1:
-        return np.exp(mdl.jump_inverse_jacobian_logdet(j, nodes[:, None]))
-    raise NotImplementedError("custom jumps on grids need d = 1")
-
-
 def _remap_tables(spec, nodes_list, lam, dt):
     """Per-axis remap tables for the decay pull and the jump pull.
 
@@ -299,14 +289,23 @@ def _remap_tables(spec, nodes_list, lam, dt):
     volume factor exp(dt tr Lambda) for the decay flow and |det D gamma^-1|
     for the jump inverse, so neither appears separately in the solvers.
     """
+    j = spec.jump
+    if j.affine is not None:
+        c, b = j.affine
+        b = np.broadcast_to(b, (spec.d,))
+        pulls = [((nodes - b[k]) / c, 1.0 / c)
+                 for k, nodes in enumerate(nodes_list)]
+    elif spec.d == 1:
+        m = nodes_list[0][:, None]
+        pulls = [(mdl.jump_inverse(j, m)[:, 0],
+                  np.exp(mdl.jump_inverse_jacobian_logdet(j, m)))]
+    else:
+        raise NotImplementedError("custom jumps on grids need d = 1")
     decay = []
-    jumpt = []
-    for k, nodes in enumerate(nodes_list):
-        s = math.exp(lam[k] * dt)
+    for nodes, l in zip(nodes_list, lam):
+        s = math.exp(l * dt)
         decay.append(_remap_table(nodes, nodes * s, s))
-        jumpt.append(_remap_table(nodes, _gamma_axis_targets(spec, nodes, k),
-                                  _gamma_axis_dslope(spec, nodes, k)))
-    return decay, jumpt
+    return decay, [_remap_table(n, *p) for n, p in zip(nodes_list, pulls)]
 
 
 def _pull(arr, table, m_axis0):
@@ -413,9 +412,8 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
     scale_trace = np.ones(G + 1)
     clip_mass = 0.0
     borders = np.zeros((G + 1,) + shape_m) if keep_borders else None
-    save_times = np.asarray(sorted(save_times), dtype=float)
+    save_times = _step_save_times(save_times, ts)
     rhos = []
-    saved = []
 
     # every full-grid array of the march: the second density buffer, the loss
     # density f rho, and per-row memory integrals of rho, f rho, g f rho and
@@ -455,7 +453,6 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
         for t_s in save_times:
             if abs(t_s - t_n) < 1e-9:
                 rhos.append(rho.copy())
-                saved.append(t_s)
         if step_callback is not None:
             step_callback(n, t_n, rho, x[n], np.broadcast_to(F, rho.shape))
         if n == G:
@@ -514,8 +511,7 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
         x[n + 1] = x_next
         F = F1    # f at x[n + 1], the intensity of the next step
 
-    # save_times is sorted and the march runs forward, so saved is too
-    return DensitySolution(grid, np.asarray(saved), rhos, XPath(ts, x),
+    return DensitySolution(grid, save_times, rhos, XPath(ts, x),
                            mass_trace, flux_rel, scale_trace, clip_mass, borders)
 
 
@@ -584,8 +580,8 @@ def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, Hbar=None,
     x[0] = Hbar(0.0)
     w_hist = np.zeros(G + 1)
     mass_trace = np.zeros(G + 1)
-    save_times = np.asarray(sorted(save_times), dtype=float)
-    rhos, saved = [], []
+    save_times = _step_save_times(save_times, ts)
+    rhos = []
 
     for n in range(G + 1):
         F = np.asarray(spec.intensity(0.0, mesh, x[n]), dtype=float)
@@ -595,7 +591,6 @@ def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, Hbar=None,
         for t_s in save_times:
             if abs(t_s - ts[n]) < 1e-9:
                 rhos.append(rho.copy())
-                saved.append(t_s)
         if n == G:
             break
         x_next = Hbar(ts[n + 1])
@@ -609,7 +604,7 @@ def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, Hbar=None,
         rho = transported * decay + gain
         x[n + 1] = x_next
 
-    return LMDensitySolution(nodes_list, np.asarray(saved), rhos, XPath(ts, x),
+    return LMDensitySolution(nodes_list, save_times, rhos, XPath(ts, x),
                              mass_trace)
 
 

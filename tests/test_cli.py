@@ -127,6 +127,35 @@ def test_simulate_artifacts_and_rerun_identical(tmp_path):
     assert m1["artifacts"] == m2["artifacts"]
 
 
+def test_snapshots_csv_cells_parse_as_floats(tmp_path):
+    cfg = _write_cfg(tmp_path, _base("simulate", N=4, T=1.0,
+                                     save_times=[0.5, 1.0]))
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_override=out) == cli.EXIT_OK
+    with open(out / "snapshots.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 8
+    assert [float(cell) for row in rows for cell in row]
+    assert {float(row[0]) for row in rows} == {0.5, 1.0}
+
+
+@pytest.mark.parametrize("command, numerics, artifact", [
+    ("pde", dict(save_times=[0.15, 0.5]), "density.csv"),  # between steps
+    ("pde", dict(save_times=[0.3, 0.5]), "density.csv"),   # past T
+    ("simulate", dict(N=4, save_times=[0.2, 0.5]), "snapshots.csv"),
+])
+def test_unreachable_save_time_rejected(command, numerics, artifact, tmp_path):
+    num = dict(T=0.3, **numerics)
+    if command == "pde":
+        num.update(a_max=2.0, n_a=20, m_lo=[-1.0], m_hi=[1.0], n_m=[20],
+                   dt=0.1)
+    cfg = _write_cfg(tmp_path, _base(command, preset="plain-hawkes", **num))
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_override=out) == cli.EXIT_VALIDATION
+    assert not (out / artifact).exists()
+    assert not (out / "manifest.json").exists()
+
+
 def test_events_csv_matches_direct_simulation(tmp_path):
     cfg = _write_cfg(tmp_path, _base("simulate", N=8, T=2.0))
     out = tmp_path / "out"

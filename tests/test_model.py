@@ -1,7 +1,9 @@
 """Model families and assumption validators."""
 
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,6 +357,38 @@ def test_affine_default_offset_same_bits_as_explicit():
     vals = [pathint.density_at(0.6, 0.1, np.array([0.2, 0.35]), s.init_law,
                                x, cfg, s) for s in (s0, s1)]
     assert vals[0] == vals[1] and vals[0][0] > 0.0
+
+
+_JUMP_FIELDS = {"family", "alpha_vec", "alpha", "offset", "offset_vec"}
+
+
+def _is_jump(node, names):
+    return ((isinstance(node, ast.Attribute) and node.attr == "jump")
+            or (isinstance(node, ast.Name) and node.id in names))
+
+
+def test_only_model_reads_jump_families():
+    # outside model.py, jump arithmetic goes through JumpSpec.affine and the
+    # jump_* functions.  Flags reads such as spec.jump.family, and j.alpha
+    # where the module binds j to a .jump attribute or annotates it JumpSpec.
+    bad = []
+    for path in sorted(Path(mdl.__file__).parent.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and _is_jump(node.value, ()):
+                names.update(t.id for t in node.targets
+                             if isinstance(t, ast.Name))
+            elif isinstance(node, ast.arg) and node.annotation is not None \
+                    and "JumpSpec" in ast.unparse(node.annotation):
+                names.add(node.arg)
+        bad += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr in _JUMP_FIELDS and _is_jump(node.value, names)]
+    assert not bad
 
 
 @given(alpha=st.floats(0.01, 0.99), m=st.floats(-5.0, 5.0))

@@ -227,6 +227,10 @@ def test_bad_arguments_rejected():
         prt.simulate_network(spec, 0, 1.0, seed=0)
     with pytest.raises(ValueError):
         prt.simulate_network(spec, 1, 0.0, seed=0)
+    # a save time outside [0, T] would never be snapshotted
+    for saves in ([-0.1, 0.5], [0.5, 1.5], [math.nan]):
+        with pytest.raises(ValueError, match="save times"):
+            prt.simulate_network(spec, 2, 1.0, seed=0, save_times=saves)
 
 
 def test_event_cap_aborts():

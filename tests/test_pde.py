@@ -398,7 +398,7 @@ def test_remap_matches_scipy_pchip(case):
     # default grid, for the decay pull and the jump pull
     if case == "custom":
         # gamma(m) = sinh(m)/2 - 0.3: the inverse has a node-dependent
-        # derivative, so dslope is an array
+        # derivative
         spec = _spec(jump=mdl.JumpSpec(
             family="custom", fn=lambda m: 0.5 * np.sinh(m) - 0.3,
             fn_inv=lambda m: np.arcsinh(2.0 * (m + 0.3))))
@@ -413,12 +413,14 @@ def test_remap_matches_scipy_pchip(case):
     noisy = rng.random(rho.shape) * (rng.random(rho.shape) < 0.7)
     noisy[:, ::37] *= -1e-3  # scattered small negatives exercise the sign rules
     s = math.exp(spec.lam[0] * g.dt)
+    # the jump pull's targets and slopes from the model's public inverse
+    m = nodes[:, None]
     pulls = [(nodes * s, s),
-             (pde._gamma_axis_targets(spec, nodes, 0),
-              pde._gamma_axis_dslope(spec, nodes, 0))]
+             (mdl.jump_inverse(spec.jump, m)[:, 0],
+              np.exp(mdl.jump_inverse_jacobian_logdet(spec.jump, m)))]
     decay_tab, jump_tab = pde._remap_tables(spec, [nodes], spec.lam, g.dt)
     if case == "custom":
-        assert np.ndim(pulls[1][1]) == 1
+        assert np.ptp(pulls[1][1]) > 0.1
     for (tg, ds), tab in zip(pulls, (decay_tab[0], jump_tab[0])):
         for arr in (rho, noisy):
             # full array, memory axis first, one border row, one 1-d slice
@@ -613,6 +615,20 @@ def test_lm_rejects_age_dependent_intensity():
                                      b=0.0))
     with pytest.raises(mdl.ConfigurationError):
         pde.solve_lm_pde(spec, (-2.0,), (0.5,), (50,), 1.0, 0.01)
+
+
+@pytest.mark.parametrize("saves", [(0.15,), (0.2, 0.5), (-0.1,)])
+def test_solvers_reject_save_times_off_the_steps(saves):
+    # the marches save only at step times in [0, T]; any other save time
+    # would be dropped without a word
+    spec = presets.preset("plain-hawkes")
+    g = pde.Grid(a_max=2.0, n_a=20, m_lo=(-1.0,), m_hi=(1.0,), n_m=(20,),
+                 T=0.3, dt=0.1)
+    with pytest.raises(mdl.ConfigurationError, match="save time"):
+        pde.solve_alm_pde(spec, g, save_times=saves)
+    with pytest.raises(mdl.ConfigurationError, match="save time"):
+        pde.solve_lm_pde(spec, (-1.0,), (1.0,), (20,), 0.3, 0.1,
+                         save_times=saves)
 
 
 def test_lm_rejects_zero_initial_mass():
