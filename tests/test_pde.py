@@ -1,5 +1,6 @@
 """Tests for the semi-Lagrangian density solver."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -208,6 +209,29 @@ def _d2_spec():
 def _d2_grid(T, n_m=(20, 16)):
     return pde.Grid(a_max=4.0, n_a=40, m_lo=(-1.5, -0.5), m_hi=(0.5, 1.0),
                     n_m=n_m, T=T, dt=0.1)
+
+
+@pytest.mark.parametrize("jump", [
+    mdl.JumpSpec(family="translation", alpha_vec=(-0.2, 0.15)),
+    mdl.JumpSpec(family="affine-contraction", alpha=0.3, offset=(0.2, -0.1)),
+    mdl.JumpSpec(family="affine-contraction", alpha=0.3)])
+def test_d2_jump_tables_match_model_inverse(jump):
+    # axis k of the jump pull takes its targets from coordinate k of the
+    # model's inverse and its slope from the per-axis share of the log-det
+    spec = dataclasses.replace(_d2_spec(), jump=jump)
+    g = _d2_grid(1.0)
+    nodes = [g.m_nodes(k) for k in range(2)]
+    _, tabs = pde._remap_tables(spec, nodes, spec.lam, g.dt)
+    for k, (n, tab) in enumerate(zip(nodes, tabs)):
+        pts = np.full((n.size, 2), 0.3)
+        pts[:, k] = n
+        ref = pde._remap_table(
+            n, mdl.jump_inverse(jump, pts)[:, k],
+            np.exp(mdl.jump_inverse_jacobian_logdet(jump, pts) / 2.0))
+        assert np.array_equal(tab.idx, ref.idx)
+        for name in ("w_m", "w_0", "w_1"):
+            assert np.allclose(getattr(tab, name), getattr(ref, name),
+                               rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("case", ["adaptation-1d", "stp", "d2"])
