@@ -413,6 +413,41 @@ def test_initial_law_densities_normalize():
     assert abs(np.trapezoid(law.density_mem(m), m[:, 0]) - 1.0) < 1e-6
 
 
+# one law per branch of the truncated normal's log-mass: central (stp's law),
+# left (hi <= mean) and right (lo > mean)
+_TRUNCNORM_LAWS = {
+    "central": ("truncnorm", 0.3, 0.15, 0.0, 1.0),
+    "left": ("truncnorm", 0.2, 0.4, -1.2, 0.2),
+    "right": ("truncnorm", -0.5, 0.3, 0.1, 1.4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRUNCNORM_LAWS))
+def test_density_mem_same_bits_as_truncnorm_pdf(case):
+    from scipy.stats import truncnorm
+
+    law = _TRUNCNORM_LAWS[case]
+    mean, sd, lo, hi = law[1:]
+    u0 = mdl.InitialLaw(mem=(law,))
+
+    def pdf(m):
+        return truncnorm.pdf(m, (lo - mean) / sd, (hi - mean) / sd,
+                             loc=mean, scale=sd)
+
+    # scipy tests the support on (m - mean)/sd, where a memory one ulp
+    # outside [lo, hi] can round onto the bound and keep a positive density
+    pts = np.array([lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+                    np.nan, 0.5 * (lo + hi), lo - 0.1, hi + 0.1])
+    got = u0.density_mem(pts[:, None])
+    np.testing.assert_array_equal(got, pdf(pts))
+    assert got[0] > 0.0 and got[1] > 0.0 and got[6] == got[7] == 0.0
+    assert np.isnan(got[4])
+    for v in pts:
+        np.testing.assert_array_equal(u0.density_mem(np.array(v)), pdf(v))
+    m = np.random.default_rng(5).uniform(lo - 0.3, hi + 0.3, size=(7, 601))
+    np.testing.assert_array_equal(u0.density_mem(m[..., None]), pdf(m))
+
+
 def test_initial_law_sampling_matches_density(rng):
     law = mdl.InitialLaw(age=("uniform", 0.5, 2.5),
                          mem=(("uniform", -1.0, 0.0),))

@@ -229,6 +229,28 @@ def test_jump_count_tail_examples():
     assert poisson.sf(pi.jump_count_tail(3.0, 1.2, 1e-5), 3.6) < 0.5e-5
 
 
+@pytest.mark.parametrize("f_max", [0.5, 1.5, 20.0])
+@pytest.mark.parametrize("T", [0.0, 0.01, 0.3, 1.0, 5.0, 40.0])
+def test_jump_count_tail_same_as_poisson_sf(T, f_max):
+    for eps in (1.0, 0.3, 1e-4, 1e-9, 1e-15):
+        want = 0
+        while poisson.sf(want, f_max * T) >= eps / 2.0:
+            want += 1
+        assert pi.jump_count_tail(T, f_max, eps) == want
+
+
+@pytest.mark.parametrize("f_max", [0.5, 1.5, 20.0])
+def test_density_at_bound_same_as_poisson_sf(f_max):
+    spec = _spec(f=mdl.IntensitySpec(family="constant", f_min=f_max,
+                                     f_max=f_max))
+    for t in (0.0, 0.3, 2.0):
+        for k in (0, 1, 3, 7, 30):
+            _, trunc = pi.density_at(t, t + 0.5, np.array([-0.5]),
+                                     spec.init_law, ZERO_X,
+                                     pi.PathIntegralConfig(K_max=k), spec)
+            assert trunc == float(poisson.sf(k, f_max * t))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         pi.PathIntegralConfig(K_max=-1)
