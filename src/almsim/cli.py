@@ -18,7 +18,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 
 from . import __version__
 from . import limit, metrics, model as mdl, particle, pathint, pde, presets
@@ -204,7 +203,8 @@ def _cmd_pde(spec, num, seed, outdir):
 def _cmd_pathint(spec, num, seed, outdir):
     T = num.get("T", 1.0)
     eps = num.get("tail_epsilon", 1e-4)
-    kmax = num.get("K_max", pathint.jump_count_tail(T, spec.f_max, eps))
+    kmax = (num["K_max"] if "K_max" in num
+            else pathint.jump_count_tail(T, spec.f_max, eps))
     cfg = pathint.PathIntegralConfig(K_max=kmax, tail_epsilon=eps, seed=seed)
     x = limit.XPath(np.array([0.0, T]), np.zeros(2))
     rows = []
@@ -262,6 +262,7 @@ def _cmd_couple(spec, num, seed, outdir):
 def _config_validator():
     """Validator of CONFIG_SCHEMA, built on first use.  jsonschema.validate
     checks the schema itself on every call, which took about 20 ms."""
+    import jsonschema
     cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
     cls.check_schema(CONFIG_SCHEMA)
     return cls(CONFIG_SCHEMA)
@@ -278,6 +279,7 @@ def run(config_path, seed_override=None, out_override=None, strict=False,
         print(f"error: config file {path} not found", file=sys.stderr)
         return EXIT_MISSING
     cfg_text = path.read_text()
+    import jsonschema
     try:
         cfg = json.loads(cfg_text)
         error = jsonschema.exceptions.best_match(

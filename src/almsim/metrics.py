@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import kendalltau, wasserstein_distance
 
 from . import model as mdl
 from . import particle
@@ -23,6 +22,7 @@ from . import particle
 
 def wasserstein1_1d(u, v, u_weights=None, v_weights=None):
     """Exact one-dimensional W1 between weighted samples."""
+    from scipy.stats import wasserstein_distance
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.size == 0 or v.size == 0:
@@ -87,6 +87,7 @@ def transform_points(points, psi: mdl.PsiParams):
 
 def sliced_w1(pts_a, w_a, pts_b, w_b, n_directions=64, seed=0, directions=None):
     """Average of exact 1-d W1 over fixed unit directions."""
+    from scipy.stats import wasserstein_distance
     pts_a = np.asarray(pts_a, dtype=float)
     pts_b = np.asarray(pts_b, dtype=float)
     dim = pts_a.shape[1]
@@ -157,6 +158,7 @@ def _bootstrap_slope(Ns, values_by_N, n_boot=1000, seed=0):
 
 def decreasing_trend_pvalue(Ns, values):
     """One-sided Kendall test that the values trend downward in N."""
+    from scipy.stats import kendalltau
     tau, p = kendalltau(Ns, values)
     if np.isnan(tau):
         return 1.0

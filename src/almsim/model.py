@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import truncnorm
 
 SCHEMA_VERSION = 1
 
@@ -312,6 +311,16 @@ def jump_inverse_jacobian_logdet(j: JumpSpec, m):
 # initial law and baseline family
 
 
+def _log_gauss_mass(a, b):
+    """log(Phi(b) - Phi(a)) by the three branches of scipy.stats.truncnorm."""
+    from scipy.special import log1p, log_ndtr, logsumexp, ndtr
+    if b <= 0:
+        return np.real(logsumexp([log_ndtr(b), log_ndtr(a) + np.pi * 1j]))
+    if a > 0:
+        return _log_gauss_mass(-b, -a)
+    return log1p(-ndtr(a) - ndtr(-b))
+
+
 @dataclass(frozen=True)
 class InitialLaw:
     """Product law for (A_0, M_0): a named age law times per-dimension memory laws.
@@ -336,6 +345,8 @@ class InitialLaw:
             ages = rng.uniform(self.age[1], self.age[2], size=n)
         else:
             raise ConfigurationError(f"unknown age law {kind!r}")
+        if any(law[0] == "truncnorm" for law in self.mem):
+            from scipy.stats import truncnorm
         cols = []
         for law in self.mem:
             if law[0] == "uniform":
@@ -368,7 +379,11 @@ class InitialLaw:
             else:
                 mean, sd, lo, hi = law[1:]
                 a, b = (lo - mean) / sd, (hi - mean) / sd
-                out = out * truncnorm.pdf(mk, a, b, loc=mean, scale=sd)
+                z = (mk - mean) / sd
+                # scipy.stats.truncnorm.pdf's arithmetic, with the mass once
+                out = out * np.where((z < a) | (z > b), 0.0, np.exp(
+                    -z**2 / 2.0 - np.log(np.sqrt(2 * np.pi))
+                    - _log_gauss_mass(a, b)) / sd)
         return out
 
     def density(self, a, m):
@@ -381,6 +396,8 @@ class InitialLaw:
         return self.age[2]
 
     def mem_mean(self):
+        if any(law[0] == "truncnorm" for law in self.mem):
+            from scipy.stats import truncnorm
         out = []
         for law in self.mem:
             if law[0] == "uniform":
@@ -517,23 +534,28 @@ class ModelSpec:
         def tup(x):
             return tuple(tup(v) if isinstance(v, list) else v for v in x)
 
+        def part(key, build=lambda v: v):
+            """build(data[key]); a missing or malformed field names itself."""
+            try:
+                return build(data[key])
+            except KeyError as exc:
+                name = key if exc.args[0] == key else f"{key}.{exc.args[0]}"
+                raise ConfigurationError(f"model field {name} is missing") from None
+            except TypeError as exc:
+                raise ConfigurationError(f"model field {key}: {exc}") from None
+
         return ModelSpec(
-            d=data["d"],
-            Lambda=tuple(data["Lambda"]),
-            psi=PsiParams(**data["psi"]),
-            f=IntensitySpec(**{**data["f"], "c_m": tuple(data["f"]["c_m"])}),
-            h=InteractionSpec(**data["h"]),
-            jump=JumpSpec(
-                **{
-                    **data["jump"],
-                    "alpha_vec": tuple(data["jump"]["alpha_vec"]),
-                    "offset": None
-                    if data["jump"]["offset"] is None
-                    else tuple(data["jump"]["offset"]),
-                }
-            ),
-            init_law=InitialLaw(age=tup(data["init_law"]["age"]), mem=tup(data["init_law"]["mem"])),
-            H=BaselineSpec(**data["H"]),
+            d=part("d"),
+            Lambda=part("Lambda", tuple),
+            psi=part("psi", lambda v: PsiParams(**v)),
+            f=part("f", lambda v: IntensitySpec(**{**v, "c_m": tuple(v["c_m"])})),
+            h=part("h", lambda v: InteractionSpec(**v)),
+            jump=part("jump", lambda v: JumpSpec(**{
+                **v, "alpha_vec": tuple(v["alpha_vec"]),
+                "offset": None if v["offset"] is None else tuple(v["offset"])})),
+            init_law=part("init_law", lambda v: InitialLaw(age=tup(v["age"]),
+                                                           mem=tup(v["mem"]))),
+            H=part("H", lambda v: BaselineSpec(**v)),
         )
 
     @staticmethod

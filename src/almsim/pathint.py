@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
-from scipy.stats import poisson
 
 from . import model as mdl
 
@@ -158,6 +156,7 @@ def _logdet(k, posts, t, spec: mdl.ModelSpec):
 
 def _survival_integral(spec, x, t_a, t_b, age_at_a, mem_at_a):
     """int_{t_a}^{t_b} f along the drift flow started at (age_at_a, mem_at_a)."""
+    from scipy.integrate import quad
     lam = spec.lam
     mem = np.atleast_1d(np.asarray(mem_at_a, dtype=float))
 
@@ -211,11 +210,12 @@ def nu_k(t, times, a0, m0, x, spec: mdl.ModelSpec):
 
 def jump_count_tail(T, f_max, epsilon):
     """Smallest l with P(Poisson(f_max*T) > l) < epsilon / 2."""
+    from scipy.special import pdtrc
     if not (0.0 < epsilon <= 1.0):
         raise ValueError("epsilon must lie in (0, 1]")
     mu = f_max * T
     l = 0
-    while poisson.sf(l, mu) >= epsilon / 2.0:
+    while pdtrc(l, mu) >= epsilon / 2.0:
         l += 1
     return l
 
@@ -274,11 +274,12 @@ def density_at(t, a, m, u0: mdl.InitialLaw, x, cfg: PathIntegralConfig,
     depend on the initial age, so they are computed once per node instead of
     once per initial-age node.  Neither changes a bit of the value.
     """
+    from scipy.special import pdtrc
     m = np.atleast_1d(np.asarray(m, dtype=float))
     if not (0 <= t < math.inf and 0 <= a < math.inf) or m.shape != (spec.d,):
         raise ValueError(f"density_at needs finite t, a >= 0 and {spec.d} "
                          f"memory coordinates, got t={t}, a={a}, m={m}")
-    trunc = float(poisson.sf(cfg.K_max, spec.f_max * t))
+    trunc = float(pdtrc(cfg.K_max, spec.f_max * t))
     if a >= t:
         a0, m0 = phi_0_inverse(a, m, t, spec)
         base = u0.density(a0, m0)

@@ -110,6 +110,33 @@ def test_inline_model_dict_accepted(tmp_path):
     assert (out / "validation.json").exists()
 
 
+def _drop(path):
+    def edit(model):
+        *parents, key = path
+        for p in parents:
+            model = model[p]
+        del model[key]
+    return edit
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_drop(("f", "c_m")), "f.c_m"),
+    (_drop(("jump", "offset")), "jump.offset"),
+    (_drop(("d",)), "d"),
+    (lambda model: model["h"].update(bogus=1.0), "bogus"),
+    (lambda model: model.update(psi=[1.0, 1.0]), "psi"),
+], ids=["no-f.c_m", "no-jump.offset", "no-d", "unknown-h-key", "psi-list"])
+def test_malformed_inline_model_rejected(tmp_path, capsys, edit, field):
+    c = _base("validate")
+    c["model"] = presets.preset("plain-hawkes").to_dict()
+    edit(c["model"])
+    cfg = _write_cfg(tmp_path, c)
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_override=out) == cli.EXIT_VALIDATION
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # artifacts and reproducibility
 
