@@ -378,6 +378,8 @@ class InitialLaw:
                 out = out * np.where((mk >= lo) & (mk <= hi), 1.0 / (hi - lo), 0.0)
             else:
                 mean, sd, lo, hi = law[1:]
+                if not (sd > 0 and lo < hi):
+                    raise ConfigurationError(f"truncnorm law {law} needs sd > 0 and lo < hi")
                 a, b = (lo - mean) / sd, (hi - mean) / sd
                 z = (mk - mean) / sd
                 # scipy.stats.truncnorm.pdf's arithmetic, with the mass once

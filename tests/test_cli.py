@@ -7,7 +7,7 @@ import json
 import jsonschema
 import pytest
 
-from almsim import cli, particle, presets
+from almsim import cli, particle, pathint, presets
 
 
 def _write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -229,6 +229,16 @@ def test_pathint_default_eval_point(tmp_path):
     assert rows[0] == ["t", "a", "m1", "rho", "truncation_bound"]
     assert len(rows) == 2
     assert float(rows[1][3]) >= 0.0
+
+
+def test_pathint_given_k_max_skips_tail_rule(tmp_path, monkeypatch):
+    def no_tail(*args):
+        raise AssertionError("jump_count_tail called with K_max given")
+
+    monkeypatch.setattr(pathint, "jump_count_tail", no_tail)
+    cfg = _write_cfg(tmp_path, _base("pathint", preset="plain-hawkes",
+                                     T=0.3, K_max=3))
+    assert cli.run(cfg, out_override=tmp_path / "out") == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("point", [

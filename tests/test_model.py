@@ -448,6 +448,17 @@ def test_density_mem_same_bits_as_truncnorm_pdf(case):
     np.testing.assert_array_equal(u0.density_mem(m[..., None]), pdf(m))
 
 
+@pytest.mark.parametrize("law", [
+    ("truncnorm", 0.0, 1.0, 1.0, 0.0),     # lo > hi
+    ("truncnorm", 0.0, 1.0, 0.5, 0.5),     # lo == hi
+    ("truncnorm", 0.0, -1.0, -1.0, 1.0),   # negative sd
+    ("truncnorm", 0.0, 0.0, -1.0, 1.0),    # zero sd
+])
+def test_degenerate_truncnorm_density_rejected(law):
+    with pytest.raises(mdl.ConfigurationError):
+        mdl.InitialLaw(mem=(law,)).density_mem(np.array([[0.5]]))
+
+
 def test_initial_law_sampling_matches_density(rng):
     law = mdl.InitialLaw(age=("uniform", 0.5, 2.5),
                          mem=(("uniform", -1.0, 0.0),))
