@@ -3,11 +3,14 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from almsim import cli, particle, pathint, presets
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "configs" / "golden"
 
 
 def _write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -294,6 +297,34 @@ def test_main_argv_roundtrip(tmp_path):
     assert code == cli.EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 9
+
+
+# sha256 of every artifact of each golden config but the manifest, which
+# records the wall time of the run
+GOLDEN_SHA256 = {
+    "converge/convergence.csv": "f6d2ee9f6abb75a8726f04f3a309b7235438b2b25c5354a213a0736bc1bfb30a",
+    "converge/convergence.json": "f12bacf6ad9e84967aebe0aae8b2abd758cb42b4e21b3787d3f50a657e5bad66",
+    "couple/coupling.csv": "df4f942af0fad8317f9b47e7515a1f1884d495a0ad2c30bf1f2ac5fd13a131c9",
+    "couple/coupling.json": "459bb290c3be78890206faf29ebe1cda0ed5536e824d706d50df3428a7345b79",
+    "pde/density.csv": "01425e91d3c94f1d4f1a3ffcebe4f11355c46e2bb1fd1aec9b6adc7b4807fc4a",
+    "pde/diagnostics.json": "4df03998eaa1d4f2beea429e6fd9c4699a4d133b7ecb0e459bbf1eba4c0abdb6",
+    "pde/xpath.csv": "49f33eac188800d259ae56a4f8cbcbd2f1fdd324e8507a58ef6d0c8947496c9e",
+    "simulate/events.csv": "2b7954b64f8808c7cd91215c096e48d1b43c9549203308cd29bdcfb7b8dec784",
+    "simulate/run.json": "bddf326d8940db1bd480b569ea9af77dc25831477349bac0caafb8ff7619e76d",
+    "simulate/snapshots.csv": "ca86f8969e796e6ce9cff507a05f8e57fe07ff78d700eda18e2ce423d12f43ae",
+}
+
+
+def test_golden_artifacts_pinned(tmp_path):
+    got = {}
+    for cfg in sorted(GOLDEN_DIR.glob("*.json")):
+        out = tmp_path / cfg.stem
+        assert cli.run(cfg, out_override=out) == cli.EXIT_OK
+        for p in out.iterdir():
+            if p.name != "manifest.json":
+                got[f"{cfg.stem}/{p.name}"] = hashlib.sha256(
+                    p.read_bytes()).hexdigest()
+    assert got == GOLDEN_SHA256
 
 
 def test_couple_threads_bit_identical(tmp_path):

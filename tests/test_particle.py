@@ -286,6 +286,24 @@ def test_unhashable_custom_spec_validated_without_caching():
         prt.simulate_network(bad, 3, 0.5, seed=0)
 
 
+def test_equal_specs_share_one_assumption_check(monkeypatch):
+    # the verdict cache keys by value: a second, equal spec object is not
+    # validated again
+    calls = []
+    real = mdl.validate_assumptions
+
+    def counting(spec, **kw):
+        calls.append(spec)
+        return real(spec, **kw)
+
+    monkeypatch.setattr(mdl, "validate_assumptions", counting)
+    s1, s2 = _constant_spec(rate=1.2345), _constant_spec(rate=1.2345)
+    assert s1 is not s2 and s1 == s2
+    for s in (s1, s2):
+        prt.simulate_network(s, 1, 1e-6, seed=0)
+    assert len(calls) == 1
+
+
 def test_assumption_cache_bounded():
     for k in range(prt._ASSUMPTION_CACHE_SIZE + 5):
         prt.simulate_network(_constant_spec(rate=1.0 + k / 64), 1, 1e-6, seed=0)
