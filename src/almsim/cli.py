@@ -60,30 +60,6 @@ _NUMERICS_SCHEMA = {
     },
 }
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["schema_version", "command", "model"],
-    "properties": {
-        "schema_version": {"const": 1},
-        "command": {"enum": ["simulate", "limit", "pde", "pathint",
-                             "converge", "couple", "validate"]},
-        "model": {
-            "oneOf": [
-                {"type": "object", "additionalProperties": False,
-                 "required": ["preset"],
-                 "properties": {"preset": {"enum": list(presets.PRESET_NAMES)}}},
-                {"type": "object",
-                 "not": {"required": ["preset"]}},
-            ]
-        },
-        "numerics": _NUMERICS_SCHEMA,
-        "seed": {"type": "integer", "minimum": 0},
-        "out": {"type": "string"},
-    },
-}
-
-
 class _StrictWarning(RuntimeError):
     """A numerical tolerance miss after the command wrote its artifacts."""
 
@@ -142,12 +118,8 @@ def _cmd_validate(spec, num, seed, outdir):
     with open(outdir / "validation.json", "w") as fh:
         fh.write(report.to_json(indent=2, sort_keys=True))
     if not report.all_pass:
-        raise _ValidationFailure("assumption validation failed")
+        raise mdl.ConfigurationError("assumption validation failed")
     return ["validation.json"]
-
-
-class _ValidationFailure(RuntimeError):
-    pass
 
 
 def _cmd_simulate(spec, num, seed, outdir):
@@ -163,11 +135,14 @@ def _cmd_simulate(spec, num, seed, outdir):
     return ["events.csv", "snapshots.csv", "run.json"]
 
 
+def _picard(spec, num, seed, T):
+    return limit.solve_x_picard(
+        spec, T, dt=num.get("dt"), n_particles=num.get("n_particles", 20_000),
+        seed=seed, tol=num.get("tol", 1e-4), max_iter=num.get("max_iter", 25))
+
+
 def _cmd_limit(spec, num, seed, outdir):
-    x, report = limit.solve_x_picard(
-        spec, num["T"], dt=num.get("dt"),
-        n_particles=num.get("n_particles", 20_000), seed=seed,
-        tol=num.get("tol", 1e-4), max_iter=num.get("max_iter", 25))
+    x, report = _picard(spec, num, seed, num["T"])
     x.to_csv(outdir / "xpath.csv")
     with open(outdir / "picard.json", "w") as fh:
         fh.write(report.to_json(indent=2))
@@ -202,10 +177,9 @@ def _cmd_pde(spec, num, seed, outdir):
 
 def _cmd_pathint(spec, num, seed, outdir):
     T = num.get("T", 1.0)
-    eps = num.get("tail_epsilon", 1e-4)
-    kmax = (num["K_max"] if "K_max" in num
-            else pathint.jump_count_tail(T, spec.f_max, eps))
-    cfg = pathint.PathIntegralConfig(K_max=kmax, tail_epsilon=eps, seed=seed)
+    kmax = (num["K_max"] if "K_max" in num else pathint.jump_count_tail(
+        T, spec.f_max, num.get("tail_epsilon", 1e-4)))
+    cfg = pathint.PathIntegralConfig(K_max=kmax, seed=seed)
     x = limit.XPath(np.array([0.0, T]), np.zeros(2))
     rows = []
     for pt in num.get("eval_points", [[T, T / 2.0, 0.0]]):
@@ -246,9 +220,7 @@ def _cmd_converge(spec, num, seed, outdir):
 
 def _cmd_couple(spec, num, seed, outdir):
     T = num.get("T", 5.0)
-    x, report = limit.solve_x_picard(
-        spec, T, dt=num.get("dt"), n_particles=num.get("n_particles", 20_000),
-        seed=seed, tol=num.get("tol", 1e-4), max_iter=num.get("max_iter", 25))
+    x, _ = _picard(spec, num, seed, T)
     table = metrics.coupling_decay_study(
         spec, num.get("N_ladder", [100, 400]), T, x,
         num.get("n_replicas", 4), seed)
@@ -256,6 +228,34 @@ def _cmd_couple(spec, num, seed, outdir):
     with open(outdir / "coupling.json", "w") as fh:
         fh.write(table.summary_json(indent=2, sort_keys=True))
     return ["coupling.csv", "coupling.json"]
+
+
+# in the order of the schema's command enum, which its error messages list
+_COMMANDS = {"simulate": _cmd_simulate, "limit": _cmd_limit, "pde": _cmd_pde,
+             "pathint": _cmd_pathint, "converge": _cmd_converge,
+             "couple": _cmd_couple, "validate": _cmd_validate}
+
+CONFIG_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["schema_version", "command", "model"],
+    "properties": {
+        "schema_version": {"const": 1},
+        "command": {"enum": list(_COMMANDS)},
+        "model": {
+            "oneOf": [
+                {"type": "object", "additionalProperties": False,
+                 "required": ["preset"],
+                 "properties": {"preset": {"enum": list(presets.PRESET_NAMES)}}},
+                {"type": "object",
+                 "not": {"required": ["preset"]}},
+            ]
+        },
+        "numerics": _NUMERICS_SCHEMA,
+        "seed": {"type": "integer", "minimum": 0},
+        "out": {"type": "string"},
+    },
+}
 
 
 @functools.cache
@@ -274,49 +274,35 @@ def run(config_path, seed_override=None, out_override=None, strict=False,
 
     threads_override, like numerics.threads, is accepted and ignored:
     replicas run serially."""
-    path = Path(config_path)
-    if not path.exists():
-        print(f"error: config file {path} not found", file=sys.stderr)
-        return EXIT_MISSING
-    cfg_text = path.read_text()
     import jsonschema
     try:
+        cfg_text = Path(config_path).read_text(encoding="utf-8")
         cfg = json.loads(cfg_text)
         error = jsonschema.exceptions.best_match(
             _config_validator().iter_errors(cfg))
         if error is not None:
             raise error
         spec = _load_model(cfg)
-    except (json.JSONDecodeError, jsonschema.ValidationError,
+    except OSError as exc:
+        print(f"error: cannot read config file: {exc}", file=sys.stderr)
+        return EXIT_MISSING
+    except (UnicodeDecodeError, json.JSONDecodeError, jsonschema.ValidationError,
             mdl.ConfigurationError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
     seed = seed_override if seed_override is not None else cfg.get("seed", 0)
     outdir = Path(out_override or cfg.get("out", "out"))
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     num = cfg.get("numerics", {})
-    command = cfg["command"]
     start = time.monotonic()
     strict_msg = None
     try:
-        if command == "validate":
-            artifacts = _cmd_validate(spec, num, seed, outdir)
-        elif command == "simulate":
-            artifacts = _cmd_simulate(spec, num, seed, outdir)
-        elif command == "limit":
-            artifacts = _cmd_limit(spec, num, seed, outdir)
-        elif command == "pde":
-            artifacts = _cmd_pde(spec, num, seed, outdir)
-        elif command == "pathint":
-            artifacts = _cmd_pathint(spec, num, seed, outdir)
-        elif command == "converge":
-            artifacts = _cmd_converge(spec, num, seed, outdir)
-        else:
-            artifacts = _cmd_couple(spec, num, seed, outdir)
-    except _ValidationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        artifacts = _COMMANDS[cfg["command"]](spec, num, seed, outdir)
     except _StrictWarning as exc:
         # the artifacts are complete; a strict run treats the warning as fatal
         strict_msg = str(exc)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -203,8 +203,6 @@ class LimitTrajectories:
     ages: np.ndarray        # (n, S)
     memories: np.ndarray    # (n, S, d)
     event_counts: np.ndarray
-    acc_t: np.ndarray = field(repr=False, default=None)
-    acc_m: np.ndarray = field(repr=False, default=None)
 
 
 def simulate_limit_process(spec: mdl.ModelSpec, x: XPath, n: int, seed: int,
@@ -219,4 +217,4 @@ def simulate_limit_process(spec: mdl.ModelSpec, x: XPath, n: int, seed: int,
     xv = np.asarray(x.values, dtype=float)
     acc_t, acc_m, acc_cnt = _simulate_events(spec, xg, xv, cand_t, cand_u, a0, m0)
     ages, mems = _states_at(spec, acc_t, acc_m, acc_cnt, a0, save_times)
-    return LimitTrajectories(save_times, ages, mems, acc_cnt - 1, acc_t, acc_m)
+    return LimitTrajectories(save_times, ages, mems, acc_cnt - 1)

@@ -158,6 +158,8 @@ def _bootstrap_slope(Ns, values_by_N, n_boot=1000, seed=0):
 
 def decreasing_trend_pvalue(Ns, values):
     """One-sided Kendall test that the values trend downward in N."""
+    if len(values) < 2:
+        return 1.0
     from scipy.stats import kendalltau
     tau, p = kendalltau(Ns, values)
     if np.isnan(tau):

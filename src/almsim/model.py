@@ -391,10 +391,10 @@ class InitialLaw:
     def density(self, a, m):
         return self.density_age(a) * self.density_mem(m)
 
-    def age_cutoff(self, tol=1e-10):
-        """Age beyond which the initial age law carries less than tol mass."""
+    def age_cutoff(self):
+        """Age beyond which the initial age law carries less than 1e-12 mass."""
         if self.age[0] == "exponential":
-            return -math.log(tol) / self.age[1]
+            return -math.log(1e-12) / self.age[1]
         return self.age[2]
 
     def mem_mean(self):

@@ -11,8 +11,9 @@ per-candidate step of its own state form.
 from __future__ import annotations
 
 import csv
+import functools
 import math
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,29 +21,24 @@ import numpy as np
 from . import model as mdl
 
 EVENT_CAP_DEFAULT = 10_000_000
-_ASSUMPTION_CACHE_SIZE = 64
-_validated_cache = OrderedDict()
+
+
+@functools.lru_cache(maxsize=64)
+def _assumption_report(spec: mdl.ModelSpec):
+    """validate_assumptions for spec, cached by value: equal specs share one
+    verdict."""
+    return mdl.validate_assumptions(spec, n_samples=4000, seed=1234)
 
 
 def _ensure_assumptions(spec: mdl.ModelSpec):
     try:
-        key = spec.spec_hash()
-    except mdl.ConfigurationError:
-        # custom callables: keyed by the spec itself, which the cache holds,
-        # so no later object can take its id while its verdict is cached
-        key = spec
-    try:
-        report = _validated_cache.pop(key, None)
+        hash(spec)
     except TypeError:
         # a custom spec with an unhashable field, such as a list where
         # ModelSpec declares a tuple, is validated on every call instead
-        key, report = None, None
-    if report is None:
-        report = mdl.validate_assumptions(spec, n_samples=4000, seed=1234)
-    if key is not None:
-        _validated_cache[key] = report
-        if len(_validated_cache) > _ASSUMPTION_CACHE_SIZE:
-            _validated_cache.popitem(last=False)
+        report = _assumption_report.__wrapped__(spec)
+    else:
+        report = _assumption_report(spec)
     if not report.all_pass:
         bad = [k for k, v in report.passes.items() if not v]
         raise mdl.ConfigurationError(f"model fails assumption checks: {bad}")
@@ -269,13 +265,11 @@ def _logged_run(spec, N, T, seed, save_times, event_cap, rng, trace, step,
 
 
 def simulate_network(spec: mdl.ModelSpec, N: int, T: float, seed: int,
-                     save_times=(), event_cap=EVENT_CAP_DEFAULT,
-                     check_assumptions=True) -> SimulationRecord:
+                     save_times=(), event_cap=EVENT_CAP_DEFAULT) -> SimulationRecord:
     """Exact thinning simulation of the N-neuron system on [0, T]."""
     if N < 1 or T <= 0:
         raise ValueError("need N >= 1 and T > 0")
-    if check_assumptions:
-        _ensure_assumptions(spec)
+    _ensure_assumptions(spec)
     rng, ages0, mems0, trace = _start(spec, N, seed)
     f = make_scalar_intensity(spec)
     jump = make_scalar_jump(spec.jump)
@@ -350,8 +344,7 @@ class CoupledRunSummary:
 
 
 def simulate_coupled_pair(spec: mdl.ModelSpec, N: int, T: float, x_path,
-                          seed: int, n_replicas: int = 1,
-                          check_assumptions=True) -> CoupledRunSummary:
+                          seed: int, n_replicas: int = 1) -> CoupledRunSummary:
     """N-system and N limit processes on shared candidate streams.
 
     Both systems share initial conditions and the (time, neuron, uniform)
@@ -361,8 +354,7 @@ def simulate_coupled_pair(spec: mdl.ModelSpec, N: int, T: float, x_path,
     """
     if spec.d != 1:
         raise NotImplementedError("coupled pair implemented for d = 1")
-    if check_assumptions:
-        _ensure_assumptions(spec)
+    _ensure_assumptions(spec)
     xg = np.asarray(x_path.grid, dtype=float)
     xv = np.asarray(x_path.values, dtype=float)
     if xg[-1] < T - 1e-12:
@@ -421,8 +413,8 @@ def simulate_coupled_pair(spec: mdl.ModelSpec, N: int, T: float, x_path,
 
 
 def simulate_equivalent_hawkes(spec: mdl.ModelSpec, N: int, T: float, seed: int,
-                               save_times=(), event_cap=EVENT_CAP_DEFAULT,
-                               check_assumptions=True) -> SimulationRecord:
+                               save_times=(),
+                               event_cap=EVENT_CAP_DEFAULT) -> SimulationRecord:
     """Simulates the memory process in kernel form instead of state form.
 
     Each neuron's memory is reconstructed as M0*exp(-Lambda t) plus a sum of
@@ -435,8 +427,7 @@ def simulate_equivalent_hawkes(spec: mdl.ModelSpec, N: int, T: float, seed: int,
     if spec.d != 1 or affine is None or affine[0] != 1.0:
         raise mdl.ConfigurationError(
             "kernel-form simulation needs d=1 and a translation jump")
-    if check_assumptions:
-        _ensure_assumptions(spec)
+    _ensure_assumptions(spec)
     rng, ages0, mems0, trace = _start(spec, N, seed)
     lam0 = float(spec.lam[0])
     alpha = affine[1].item()

@@ -31,19 +31,17 @@ def _check_times(times, t):
 class PathIntegralConfig:
     """Quadrature settings of the path-integral evaluators.
 
-    Only K_max truncates the sum over jump counts; callers derive it from a
-    tail tolerance with jump_count_tail.  tail_epsilon is validated and
-    carried along, but no evaluator reads it."""
+    K_max truncates the sum over jump counts; callers derive it from a tail
+    tolerance with jump_count_tail."""
 
     K_max: int = 6
     gl_orders: dict = field(default_factory=lambda: {1: 24, 2: 12, 3: 8})
     mc_samples: int = 2000
-    tail_epsilon: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
-        if self.K_max < 0 or not (0.0 < self.tail_epsilon < 1.0):
-            raise ValueError("need K_max >= 0 and tail_epsilon in (0, 1)")
+        if self.K_max < 0:
+            raise ValueError("need K_max >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +288,7 @@ def density_at(t, a, m, u0: mdl.InitialLaw, x, cfg: PathIntegralConfig,
 
     tk = t - a
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    cut = u0.age_cutoff(1e-12)
+    cut = u0.age_cutoff()
     gl_a, gl_w = leggauss(32)
     a0_nodes = 0.5 * (gl_a + 1.0) * cut
     a0_w = 0.5 * gl_w * cut
@@ -366,7 +364,7 @@ def density_on_grid(t, a_nodes, m_nodes, u0: mdl.InitialLaw, x0,
         return np.asarray(spec.intensity(np.asarray(arr, dtype=float),
                                          np.zeros(1), x0), dtype=float)
 
-    cut = u0.age_cutoff(1e-12)
+    cut = u0.age_cutoff()
     s_max = cut + t + float(a_nodes.max()) + 1.0
     hs = min(2e-3, t / 50.0 if t > 0 else 2e-3)
     sgrid = np.arange(0.0, s_max + hs, hs)

@@ -238,7 +238,7 @@ class DensitySolution(_SavedDensities):
     flux_rel: np.ndarray
     scale_trace: np.ndarray
     clip_mass: float
-    borders: np.ndarray = field(repr=False, default=None)
+    borders: np.ndarray = field(repr=False)
 
 
 def _step_save_times(save_times, ts):
@@ -336,7 +336,7 @@ _BLOCK_ELEMS = 1 << 15
 
 def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
                   save_times=(), step_callback=None,
-                  border_sweeps=2, keep_borders=True) -> DensitySolution:
+                  border_sweeps=2) -> DensitySolution:
     """Marches the Lagrangian solution of the full age-and-memory equation.
 
     A step goes over the age rows in blocks of about 2^15 nodes.  For each
@@ -411,7 +411,7 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
     flux_rel = np.full(G + 1, np.nan)
     scale_trace = np.ones(G + 1)
     clip_mass = 0.0
-    borders = np.zeros((G + 1,) + shape_m) if keep_borders else None
+    borders = np.zeros((G + 1,) + shape_m)
     save_times = _step_save_times(save_times, ts)
     rhos = []
 
@@ -448,8 +448,7 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
         mass_trace[n] = float(_dot_last(i_rho, wa))
         if n > 0 and fluxint > 1e-300:
             flux_rel[n] = abs(i_rho[0] - fluxint) / fluxint
-        if keep_borders:
-            borders[n] = rho[0]
+        borders[n] = rho[0]
         for t_s in save_times:
             if abs(t_s - t_n) < 1e-9:
                 rhos.append(rho.copy())
@@ -541,8 +540,8 @@ class LMDensitySolution(_SavedDensities):
     mass_trace: np.ndarray
 
 
-def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, Hbar=None,
-                 u0=None, save_times=()) -> LMDensitySolution:
+def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, u0=None,
+                 save_times=()) -> LMDensitySolution:
     """Two-term Duhamel march for the age-independent equation.
 
     Each step transports along the decay flow and splits the evolved mass into
@@ -559,8 +558,6 @@ def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, Hbar=None,
     shape_m = mesh.shape[:-1]
     lam = spec.lam
     h = spec.h
-    if Hbar is None:
-        Hbar = lambda t: float(spec.Hbar(t))
     if u0 is None:
         rho = np.asarray(spec.init_law.density_mem(mesh), dtype=float)
     else:
@@ -577,7 +574,7 @@ def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, Hbar=None,
     kvv = np.asarray(mdl.kernel_eval(h, ts), dtype=float)
     gmod = np.asarray(mdl.modulation_eval(h, 0.0, mesh), dtype=float)
     x = np.zeros(G + 1)
-    x[0] = Hbar(0.0)
+    x[0] = float(spec.Hbar(0.0))
     w_hist = np.zeros(G + 1)
     mass_trace = np.zeros(G + 1)
     save_times = _step_save_times(save_times, ts)
@@ -593,7 +590,7 @@ def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, Hbar=None,
                 rhos.append(rho.copy())
         if n == G:
             break
-        x_next = Hbar(ts[n + 1])
+        x_next = float(spec.Hbar(ts[n + 1]))
         if h.J != 0.0:
             x_next += dt * h.J * float(_dot_last(kvv[1:n + 2][::-1], w_hist[:n + 1]))
         x_mid = 0.5 * (x[n] + x_next)
@@ -657,8 +654,7 @@ def default_test_functions(m_center=0.0):
     ]
 
 
-def weak_form_residual(spec: mdl.ModelSpec, grid: Grid, tests=None, u0=None,
-                       Hbar=None):
+def weak_form_residual(spec: mdl.ModelSpec, grid: Grid, tests=None):
     """Runs the solver and evaluates the space-time weak identity residuals.
 
     For each test function G the residual is
@@ -724,8 +720,7 @@ def weak_form_residual(spec: mdl.ModelSpec, grid: Grid, tests=None, u0=None,
         if n in (0, G_steps):
             ends[n] = tau * g_mass
 
-    sol = solve_alm_pde(spec, grid, Hbar=Hbar, u0=u0, save_times=(grid.T,),
-                        step_callback=cb)
+    sol = solve_alm_pde(spec, grid, save_times=(grid.T,), step_callback=cb)
     res = np.abs(ends[G_steps] - ends[0] - acc)
     return {tf.name: float(r) for tf, r in zip(tests, res)}, sol
 

@@ -85,7 +85,7 @@ def test_criterion_03_pathint_vs_pde(acceptance_log):
                     n_m=(600,), T=T, dt=0.01)
     sol = pde.solve_alm_pde(spec, grid, save_times=[T])
     kmax = pi.jump_count_tail(T, spec.f_max, 1e-4)
-    cfg = pi.PathIntegralConfig(K_max=kmax, tail_epsilon=1e-4)
+    cfg = pi.PathIntegralConfig(K_max=kmax)
     rho_pi = pi.density_on_grid(T, grid.a_nodes, grid.m_nodes(0),
                                 spec.init_law, 0.0, cfg, spec)
     wa = np.full(grid.n_a + 1, 0.01)

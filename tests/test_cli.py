@@ -140,6 +140,30 @@ def test_malformed_inline_model_rejected(tmp_path, capsys, edit, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["out-is-file", "out-under-file",
+                                  "config-is-dir", "config-not-utf8"])
+def test_unusable_path_exits_with_one_error_line(case, tmp_path, capsys):
+    # an unreadable config exits 4; a config that is not UTF-8 or an output
+    # directory that cannot be made exits 2
+    code = cli.EXIT_MISSING if case == "config-is-dir" else cli.EXIT_VALIDATION
+    cfg = _write_cfg(tmp_path, _base("validate"))
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    out = {"out-is-file": blocker,
+           "out-under-file": blocker / "out"}.get(case, tmp_path / "out")
+    if case == "config-is-dir":
+        cfg = tmp_path / "cfgdir"
+        cfg.mkdir()
+    elif case == "config-not-utf8":
+        cfg.write_bytes(cfg.read_bytes().replace(b"validate", b"valid\xe9"))
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.run(cfg, out_override=out) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "not a directory\n"
+
+
 # ---------------------------------------------------------------------------
 # artifacts and reproducibility
 

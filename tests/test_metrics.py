@@ -170,6 +170,7 @@ def test_coupling_study_no_interaction_zero(constant_rate_spec, tmp_path):
         assert fh.readline().strip() == "N,replicate,t,w1"
 
 
+@pytest.mark.filterwarnings("error")
 def test_convergence_study_shape_and_single_point(constant_rate_spec):
     a_nodes, m_nodes, rho = _toy_cloud()
     cloud = mt.grid_to_cloud(a_nodes, [m_nodes], rho)
@@ -178,6 +179,7 @@ def test_convergence_study_shape_and_single_point(constant_rate_spec):
     assert len(table.rows) == 1
     assert table.rows[0][3] >= 0.0
     assert table.slope is None and table.slope_ci is None
+    assert table.trend_pvalue == 1.0
 
 
 def _child_seed(seed, ni, rep):

@@ -274,11 +274,11 @@ def test_unhashable_custom_spec_validated_without_caching():
         base, Lambda=[1.0],
         jump=mdl.JumpSpec(family="custom", fn=lambda m: m - 0.4,
                           fn_inv=lambda m: m + 0.4))
-    n_cached = len(prt._validated_cache)
+    before = prt._assumption_report.cache_info()
     for _ in range(2):
         rec = prt.simulate_network(good, 3, 0.5, seed=0)
         assert rec.spec_hash == "unserializable"
-    assert len(prt._validated_cache) == n_cached
+    assert prt._assumption_report.cache_info() == before
     bad = dataclasses.replace(
         good, jump=mdl.JumpSpec(family="custom", fn=lambda m: 2.0 * m,
                                 fn_inv=lambda m: 0.5 * m))
@@ -305,9 +305,10 @@ def test_equal_specs_share_one_assumption_check(monkeypatch):
 
 
 def test_assumption_cache_bounded():
-    for k in range(prt._ASSUMPTION_CACHE_SIZE + 5):
+    assert prt._assumption_report.cache_info().maxsize == 64
+    for k in range(64 + 5):
         prt.simulate_network(_constant_spec(rate=1.0 + k / 64), 1, 1e-6, seed=0)
-    assert len(prt._validated_cache) == prt._ASSUMPTION_CACHE_SIZE
+    assert prt._assumption_report.cache_info().currsize == 64
 
 
 # ---------------------------------------------------------------------------

@@ -254,8 +254,6 @@ def test_density_at_bound_same_as_poisson_sf(f_max):
 def test_config_validation():
     with pytest.raises(ValueError):
         pi.PathIntegralConfig(K_max=-1)
-    with pytest.raises(ValueError):
-        pi.PathIntegralConfig(tail_epsilon=0.0)
 
 
 # ---------------------------------------------------------------------------

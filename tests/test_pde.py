@@ -330,15 +330,12 @@ def _block_case(case):
         return spec, _lobe_grid(80), {}
     if case == "clip":
         return _spec(), _lobe_grid(80), {"u0": _lobe_u0}
-    if case == "no-sweeps":
-        return (presets.preset("adaptation-1d"),
-                _reduced_default("adaptation-1d"), {"border_sweeps": 0})
-    return (presets.preset("stp"), _reduced_default("stp"),
-            {"keep_borders": False})
+    return (presets.preset("adaptation-1d"),
+            _reduced_default("adaptation-1d"), {"border_sweeps": 0})
 
 
 @pytest.mark.parametrize("case", list(presets.PRESET_NAMES) + [
-    "d2", "custom-jump", "clip", "no-sweeps", "no-borders"])
+    "d2", "custom-jump", "clip", "no-sweeps"])
 def test_solution_bits_independent_of_block_size(case, monkeypatch):
     # every sum of the march runs over one age row or over all of them, so
     # the row blocks change no bit: the smallest block (two rows), a middle
@@ -369,14 +366,11 @@ def test_solution_bits_independent_of_block_size(case, monkeypatch):
         assert np.array_equal(sol.mass_trace, mass)
         assert np.array_equal(sol.flux_rel[1:], flux_rel[1:])
         arrs = [sol.rho_at(grid.T), sol.x.values, sol.mass_trace,
-                sol.flux_rel, sol.scale_trace]
-        if sol.borders is not None:
-            arrs.append(sol.borders)
+                sol.flux_rel, sol.scale_trace, sol.borders]
         digests.append([hashlib.sha256(a.tobytes()).hexdigest() for a in arrs]
                        + [sol.clip_mass])
     assert digests[0] == digests[1] == digests[2]
     assert (sol.clip_mass > 0.0) == (case == "clip")
-    assert (sol.borders is None) == (case == "no-borders")
 
 
 def test_clip_mass_is_a_trapezoid_mass():
