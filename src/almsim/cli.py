@@ -86,10 +86,10 @@ def _sha256_file(path):
     return h.hexdigest()
 
 
-def _write_manifest(outdir, cfg_text, spec, seed, artifacts, wall):
+def _write_manifest(outdir, cfg_bytes, spec, seed, artifacts, wall):
     manifest = {
         "schema_version": 1,
-        "config_sha256": hashlib.sha256(cfg_text.encode()).hexdigest(),
+        "config_sha256": hashlib.sha256(cfg_bytes).hexdigest(),
         "spec_hash": spec.spec_hash(),
         "seed": seed,
         "package_version": __version__,
@@ -276,8 +276,9 @@ def run(config_path, seed_override=None, out_override=None, strict=False,
     replicas run serially."""
     import jsonschema
     try:
-        cfg_text = Path(config_path).read_text(encoding="utf-8")
-        cfg = json.loads(cfg_text)
+        # the manifest hashes the file's bytes, CRLF line ends included
+        cfg_bytes = Path(config_path).read_bytes()
+        cfg = json.loads(cfg_bytes.decode("utf-8"))
         error = jsonschema.exceptions.best_match(
             _config_validator().iter_errors(cfg))
         if error is not None:
@@ -314,7 +315,7 @@ def run(config_path, seed_override=None, out_override=None, strict=False,
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOWNSTREAM
     wall = time.monotonic() - start
-    _write_manifest(outdir, cfg_text, spec, seed, artifacts, wall)
+    _write_manifest(outdir, cfg_bytes, spec, seed, artifacts, wall)
     if strict_msg is not None:
         print(f"warning: {strict_msg}", file=sys.stderr)
         if strict:

@@ -150,6 +150,48 @@ def intensity_eval(spec: IntensitySpec, psi: PsiParams, a, m, x):
     return out
 
 
+def _scalar_sigmoid(u):
+    # _sigmoid on one value; min returns u when u is NaN, as np.minimum does
+    e = np.exp(min(u, -u))
+    return 1.0 / (1.0 + e) if u >= 0 else e / (1.0 + e)
+
+
+def _scalar_intensity(spec: IntensitySpec, psi: PsiParams):
+    """f(a, m, x) for d = 1 on float64 scalars, m the one memory coordinate.
+
+    The operations are intensity_eval's, in its order, so the value has the
+    bits of intensity_eval(spec, psi, a, [m], x) on 0-d inputs: a length-one
+    tensordot is m * c_m up to the sign of a zero, which no family's output
+    shows.  A negative age raises ValueError where intensity_eval does."""
+    lo, span = spec.f_min, spec.f_max - spec.f_min
+    if spec.family == "constant":
+        return lambda a, m, x: lo
+    cx, b = float(spec.c_x), float(spec.b)
+    if spec.family == "stp-composite":
+        amp, rate = -spec.psi_amp, -spec.psi_rate
+
+        def stp(a, m, x):
+            return lo + span * _scalar_sigmoid(cx * (x + amp * np.exp(rate * a)) + b)
+        return stp
+    ca, cm = float(spec.c_a), float(spec.c_m[0])
+    K, kappa = psi.K, psi.kappa
+    age_free = spec.age_free
+    if spec.family == "sigmoid-affine":
+        g = _scalar_sigmoid
+    else:  # exp-saturating
+        def g(u):
+            return -np.expm1(-np.logaddexp(0.0, u))
+
+    def affine(a, m, x):
+        if a < 0:
+            raise ValueError("age must be nonnegative")
+        u = m * cm
+        if not age_free:
+            u = ca * (K * (-np.expm1(-a * kappa / K))) + u
+        return lo + span * g(u + cx * x + b)
+    return affine
+
+
 # ---------------------------------------------------------------------------
 # interaction
 
@@ -370,22 +412,24 @@ class InitialLaw:
 
     def density_mem(self, m):
         m = np.atleast_1d(np.asarray(m, dtype=float))
-        out = np.ones(m.shape[:-1])
         for k, law in enumerate(self.mem):
             mk = m[..., k]
             if law[0] == "uniform":
                 lo, hi = law[1], law[2]
-                out = out * np.where((mk >= lo) & (mk <= hi), 1.0 / (hi - lo), 0.0)
+                fk = np.where((mk >= lo) & (mk <= hi), 1.0 / (hi - lo), 0.0)
             else:
                 mean, sd, lo, hi = law[1:]
                 if not (sd > 0 and lo < hi):
                     raise ConfigurationError(f"truncnorm law {law} needs sd > 0 and lo < hi")
                 a, b = (lo - mean) / sd, (hi - mean) / sd
                 z = (mk - mean) / sd
-                # scipy.stats.truncnorm.pdf's arithmetic, with the mass once
-                out = out * np.where((z < a) | (z > b), 0.0, np.exp(
-                    -z**2 / 2.0 - np.log(np.sqrt(2 * np.pi))
-                    - _log_gauss_mass(a, b)) / sd)
+                # scipy.stats.truncnorm.pdf's arithmetic, with the mass once,
+                # at the nodes not outside the support (a NaN z among them)
+                keep = ~((z < a) | (z > b))
+                fk = np.zeros(z.shape)
+                fk[keep] = np.exp(-z[keep]**2 / 2.0 - np.log(np.sqrt(2 * np.pi))
+                                  - _log_gauss_mass(a, b)) / sd
+            out = fk if k == 0 else out * fk
         return out
 
     def density(self, a, m):
@@ -472,6 +516,14 @@ class ModelSpec:
 
     def intensity(self, a, m, x):
         return intensity_eval(self.f, self.psi, a, m, x)
+
+    def scalar_intensity(self):
+        """f at one state: _scalar_intensity's closure when d = 1, which
+        takes the memory as its one coordinate; self.intensity on a (d,)
+        memory otherwise, because its tensordot fixes the summation order."""
+        if self.d == 1:
+            return _scalar_intensity(self.f, self.psi)
+        return self.intensity
 
     def interaction(self, t, a, m):
         return interaction_eval(self.h, t, a, m)

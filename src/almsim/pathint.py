@@ -152,16 +152,22 @@ def _logdet(k, posts, t, spec: mdl.ModelSpec):
 # jump-time densities
 
 
+def _scalar_memory(spec, m):
+    """A (d,) memory in the form spec.scalar_intensity() takes it: its one
+    coordinate when d = 1, the array otherwise."""
+    return m[0] if spec.d == 1 else m
+
+
 def _survival_integral(spec, x, t_a, t_b, age_at_a, mem_at_a):
     """int_{t_a}^{t_b} f along the drift flow started at (age_at_a, mem_at_a)."""
     from scipy.integrate import quad
-    lam = spec.lam
-    mem = np.atleast_1d(np.asarray(mem_at_a, dtype=float))
+    f = spec.scalar_intensity()
+    mem = _scalar_memory(spec, np.atleast_1d(np.asarray(mem_at_a, dtype=float)))
+    nl = _scalar_memory(spec, -spec.lam)
 
     def ig(s):
         rel = s - t_a
-        return float(spec.intensity(age_at_a + rel, mem * np.exp(-lam * rel),
-                                    float(x(s))))
+        return float(f(age_at_a + rel, mem * np.exp(nl * rel), float(x(s))))
 
     val, _ = quad(ig, t_a, t_b, epsabs=1e-13, epsrel=1e-9, limit=200)
     return val
@@ -172,6 +178,7 @@ def _eta_chain(times, a0, m0, x, spec, t0=0.0, t=None):
     flow from (a0, m0) at time t0; with t, times the no-further-jump survival
     on (t_k, t]."""
     lam = spec.lam
+    f = spec.scalar_intensity()
     eta = 1.0
     t_prev = t0
     age = float(a0)
@@ -181,7 +188,8 @@ def _eta_chain(times, a0, m0, x, spec, t0=0.0, t=None):
         rel = tk - t_prev
         age_k = age + rel
         mem_k = mem * np.exp(-lam * rel)
-        eta *= math.exp(-I) * float(spec.intensity(age_k, mem_k, float(x(tk))))
+        eta *= math.exp(-I) * float(f(age_k, _scalar_memory(spec, mem_k),
+                                      float(x(tk))))
         mem = mdl.jump_apply(spec.jump, mem_k)
         age = 0.0
         t_prev = tk
@@ -295,11 +303,12 @@ def density_at(t, a, m, u0: mdl.InitialLaw, x, cfg: PathIntegralConfig,
     ages = [(a0v, wv, float(da)) for a0v, wv, da
             in zip(a0_nodes, a0_w, u0.density_age(a0_nodes)) if not da <= 0.0]
     age_free = spec.f.age_free
+    f = spec.scalar_intensity()
 
     def first_factors(a0v, t1, m0, m1, x1):
         """exp(-int_0^t1 f) and f at t1 along the flow from (a0v, m0)."""
         I1 = _survival_integral(spec, x, 0.0, t1, a0v, m0)
-        return math.exp(-I1), float(spec.intensity(a0v + t1, m1, x1))
+        return math.exp(-I1), float(f(a0v + t1, _scalar_memory(spec, m1), x1))
 
     total = 0.0
     for k in range(1, cfg.K_max + 1):

@@ -45,6 +45,19 @@ def test_validate_preset_exits_zero(tmp_path):
         cfg.read_bytes()).hexdigest()
 
 
+def test_crlf_config_hash_is_file_sha256(tmp_path):
+    # text mode reads CRLF as LF; the manifest hashes the bytes on disk
+    cfg = tmp_path / "crlf.json"
+    cfg.write_bytes(json.dumps(_base("validate", n_samples=200),
+                               indent=1).replace("\n", "\r\n").encode())
+    assert b"\r\n" in cfg.read_bytes()
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_override=out) == cli.EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_sha256"] == hashlib.sha256(
+        cfg.read_bytes()).hexdigest()
+
+
 def test_simulate_n_zero_rejected(tmp_path):
     cfg = _write_cfg(tmp_path, _base("simulate", N=0, T=1.0))
     assert cli.run(cfg, out_override=tmp_path / "o") == cli.EXIT_VALIDATION

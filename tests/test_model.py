@@ -230,6 +230,102 @@ def test_intensity_spec_rejects_bad_bounds():
         mdl.IntensitySpec(family="constant", f_min=0.5, f_max=1.0)
 
 
+_FAMILIES = ("constant", "sigmoid-affine", "exp-saturating", "stp-composite")
+
+
+def _d1_spec(family, c_a=0.0, c_m=0.8, c_x=1.3, b=-0.4):
+    f_min, f_max = (0.7, 0.7) if family == "constant" else (0.2, 2.0)
+    return mdl.ModelSpec(
+        psi=mdl.PsiParams(K=1.7, kappa=0.6),
+        f=mdl.IntensitySpec(family=family, f_min=f_min, f_max=f_max, c_a=c_a,
+                            c_x=c_x, c_m=(c_m,), b=b, psi_amp=1.1,
+                            psi_rate=0.9))
+
+
+def _same_bits(got, want):
+    got, want = float(got), float(want)
+    return got == want or (math.isnan(got) and math.isnan(want))
+
+
+# memories and signals reaching |u| > 500 on both sides, and NaN
+_state = st.one_of(st.floats(-1e4, 1e4), st.sampled_from([-600.0, 600.0, math.nan]))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@given(family=st.sampled_from(_FAMILIES), c_a=st.sampled_from([0.0, 0.7]),
+       c_m=st.floats(-3.0, 3.0), c_x=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
+       a=st.floats(0.0, 60.0), m=_state, x=_state, numpy_in=st.booleans())
+@settings(max_examples=600, deadline=None)
+def test_scalar_intensity_same_bits_as_intensity_eval(family, c_a, c_m, c_x, b,
+                                                      a, m, x, numpy_in):
+    spec = _d1_spec(family, c_a, c_m, c_x, b)
+    want = spec.intensity(a, np.array([m]), x)
+    if numpy_in:
+        a, x = np.float64(a), np.float64(x)
+    assert _same_bits(spec.scalar_intensity()(a, np.float64(m), x), want)
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+@pytest.mark.parametrize("c_a", [0.0, 0.7])
+def test_scalar_intensity_same_bits_on_many_states(family, c_a):
+    # a dense sweep: math.exp, for one, differs from np.exp on about 5 % of
+    # arguments, too rarely for the property test alone to see
+    spec = _d1_spec(family, c_a)
+    f = spec.scalar_intensity()
+    rng = np.random.default_rng(11)
+    for a, m, x in zip(rng.exponential(2.0, 1000), rng.normal(0.0, 3.0, 1000),
+                       rng.normal(0.0, 0.3, 1000)):
+        assert _same_bits(f(a, m, x), spec.intensity(a, np.array([m]), x))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("family", _FAMILIES)
+@pytest.mark.parametrize("c_a", [0.0, 0.7])
+@pytest.mark.parametrize("m, x", [(600.0, 0.0), (-600.0, 0.0), (0.0, 900.0),
+                                  (0.0, -900.0), (math.nan, 0.2),
+                                  (0.3, math.nan), (-0.0, -0.0)])
+def test_scalar_intensity_edge_states(family, c_a, m, x):
+    spec = _d1_spec(family, c_a, c_m=1.0, c_x=1.0, b=0.0)
+    for a in (0.0, 0.4, 30.0):
+        want = spec.intensity(a, np.array([m]), x)
+        assert _same_bits(spec.scalar_intensity()(a, np.float64(m), x), want)
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+@pytest.mark.parametrize("c_a", [0.0, 0.7])
+def test_scalar_intensity_negative_age_raises_as_intensity_eval(family, c_a):
+    spec = _d1_spec(family, c_a)
+    f = spec.scalar_intensity()
+    try:
+        want = spec.intensity(-0.25, np.array([0.3]), 0.1)
+    except ValueError:
+        with pytest.raises(ValueError, match="age must be nonnegative"):
+            f(-0.25, np.float64(0.3), 0.1)
+    else:
+        # constant and stp-composite never checked the age
+        assert family in ("constant", "stp-composite")
+        assert _same_bits(f(-0.25, np.float64(0.3), 0.1), want)
+    if family in ("sigmoid-affine", "exp-saturating"):
+        with pytest.raises(ValueError):
+            f(-1e-300, np.float64(0.3), 0.1)
+
+
+def test_scalar_intensity_d2_is_intensity_eval():
+    spec = mdl.ModelSpec(
+        d=2, Lambda=(1.0, 0.5),
+        f=mdl.IntensitySpec(family="sigmoid-affine", f_min=0.2, f_max=2.0,
+                            c_a=0.7, c_x=1.1, c_m=(0.6, -1.3), b=0.2),
+        init_law=mdl.InitialLaw(mem=(("uniform", -1.0, 0.0),) * 2))
+    f = spec.scalar_intensity()
+    assert f == spec.intensity
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        a, x = rng.uniform(0.0, 5.0), rng.normal()
+        m = rng.normal(0.0, 2.0, 2)
+        want = mdl.intensity_eval(spec.f, spec.psi, a, m, x)
+        assert f(a, m, x).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # interaction
 
@@ -388,6 +484,53 @@ def test_only_model_reads_jump_families():
                 for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute)
                 and node.attr in _JUMP_FIELDS and _is_jump(node.value, names)]
+    assert not bad
+
+
+_INTENSITY_FIELDS = {"family", "c_a", "c_m", "c_x", "b", "psi_amp", "psi_rate"}
+
+
+def _intensity_field_reads(source, exempt_function=None):
+    """Reads of an IntensitySpec's family or coefficients in source: of
+    spec.f, of a name bound to a .f attribute, or of an argument annotated
+    IntensitySpec, outside the function named exempt_function."""
+    tree = ast.parse(source)
+    skip = {id(n) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == exempt_function
+            for n in ast.walk(fn)}
+    nodes = [n for n in ast.walk(tree) if id(n) not in skip]
+    names = set()
+
+    def is_intensity(node):
+        return ((isinstance(node, ast.Attribute) and node.attr == "f")
+                or (isinstance(node, ast.Name) and node.id in names))
+
+    for node in nodes:
+        if isinstance(node, ast.Assign) and is_intensity(node.value):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.arg) and node.annotation is not None \
+                and "IntensitySpec" in ast.unparse(node.annotation):
+            names.add(node.arg)
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in nodes
+            if isinstance(node, ast.Attribute)
+            and node.attr in _INTENSITY_FIELDS and is_intensity(node.value)]
+
+
+def test_only_model_reads_intensity_families():
+    # outside model.py, intensity arithmetic goes through intensity_eval,
+    # ModelSpec.scalar_intensity and the age_free / memory_free predicates;
+    # particle.make_scalar_intensity keeps its own, because its event streams
+    # are pinned
+    assert sorted(_intensity_field_reads(
+        "def g(spec, fs: mdl.IntensitySpec):\n    f = spec.f\n"
+        "    return spec.f.c_a + f.family + fs.b\n")) == [
+            "3: f.family", "3: fs.b", "3: spec.f.c_a"]
+    bad = []
+    for path in sorted(Path(mdl.__file__).parent.glob("*.py")):
+        if path.name != "model.py":
+            bad += [f"{path.name}:{r}" for r in _intensity_field_reads(
+                path.read_text(), "make_scalar_intensity"
+                if path.name == "particle.py" else None)]
     assert not bad
 
 
