@@ -10,6 +10,7 @@ rule, consistent with the predictable (s-) convention.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
@@ -22,11 +23,32 @@ from . import model as mdl
 
 @dataclass
 class XPath:
+    """Piecewise-linear signal through (grid, values): at least two knots,
+    the grid strictly increasing, every number finite."""
+
     grid: np.ndarray
     values: np.ndarray
 
+    def __post_init__(self):
+        self._g = np.asarray(self.grid, dtype=float).tolist()
+        self._v = np.asarray(self.values, dtype=float).tolist()
+
     def __call__(self, t):
-        return np.interp(t, self.grid, self.values)
+        """np.interp(t, grid, values).  A float t, np.float64 included, is
+        looked up by binary search with np.interp's arithmetic and bits,
+        without the cost of its array call."""
+        g, v = self._g, self._v
+        if not isinstance(t, float):
+            return np.interp(t, self.grid, self.values)
+        t = float(t)
+        if t != t:
+            return t
+        j = bisect.bisect_right(g, t) - 1
+        if j < 0:
+            return v[0]
+        if j == len(g) - 1 or g[j] == t:
+            return v[j]
+        return (v[j + 1] - v[j]) / (g[j + 1] - g[j]) * (t - g[j]) + v[j]
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:

@@ -477,6 +477,23 @@ class BaselineSpec:
 # full model spec
 
 
+def _encode(obj):
+    """Dataclasses as dicts and tuples as lists, recursively.  A module
+    function, not a closure: a closure that calls itself is a reference
+    cycle, garbage that only the cyclic collector frees."""
+    if dataclasses.is_dataclass(obj):
+        d = {}
+        for f_ in dataclasses.fields(obj):
+            v = getattr(obj, f_.name)
+            if callable(v) and v is not None:
+                raise ConfigurationError("custom callables are not serializable")
+            d[f_.name] = _encode(v)
+        return d
+    if isinstance(obj, tuple):
+        return [_encode(v) for v in obj]
+    return obj
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Complete parametric description of one network model."""
@@ -525,6 +542,19 @@ class ModelSpec:
             return _scalar_intensity(self.f, self.psi)
         return self.intensity
 
+    def scalar_modulation(self):
+        """g(a, m) at one state as a python float: plain arithmetic on the
+        memory's one coordinate when d = 1, modulation_eval on a (d,)
+        memory otherwise."""
+        h = self.h
+        if self.d > 1:
+            return lambda a, m: float(modulation_eval(h, a, m))
+        if h.modulation == "none":
+            return lambda a, m: 1.0
+        if h.modulation == "linear-in-m":
+            return lambda a, m: h.mod_intercept + h.mod_slope * m
+        return lambda a, m: float(h.mod_fn(np.asarray(a), np.asarray([m])))
+
     def interaction(self, t, a, m):
         return interaction_eval(self.h, t, a, m)
 
@@ -555,20 +585,7 @@ class ModelSpec:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self):
-        def enc(obj):
-            if dataclasses.is_dataclass(obj):
-                d = {}
-                for f_ in dataclasses.fields(obj):
-                    v = getattr(obj, f_.name)
-                    if callable(v) and v is not None:
-                        raise ConfigurationError("custom callables are not serializable")
-                    d[f_.name] = enc(v)
-                return d
-            if isinstance(obj, tuple):
-                return [enc(v) for v in obj]
-            return obj
-
-        out = enc(self)
+        out = _encode(self)
         out["schema_version"] = SCHEMA_VERSION
         return out
 

@@ -137,48 +137,6 @@ class _XTrace:
             recent.append((t, g))
 
 
-def _scalar_modulation(spec):
-    h = spec.h
-    if spec.d > 1:
-        return lambda a, m: float(mdl.modulation_eval(h, a, m))
-    if h.modulation == "none":
-        return lambda a, m: 1.0
-    if h.modulation == "linear-in-m":
-        return lambda a, m: h.mod_intercept + h.mod_slope * m
-    return lambda a, m: float(h.mod_fn(np.asarray(a), np.asarray([m])))
-
-
-def make_scalar_intensity(spec: mdl.ModelSpec):
-    """Intensity closure for one neuron's state in the thinning loops: pure
-    python on a float memory when d = 1, spec.intensity on a (d,) memory
-    otherwise."""
-    if spec.d > 1:
-        return spec.intensity
-    f = spec.f
-    lo, hi = f.f_min, f.f_max - f.f_min
-    K, kap = spec.psi.K, spec.psi.kappa
-    if f.family == "constant":
-        return lambda a, m, x: lo
-    if f.family == "stp-composite":
-        cx, b, amp, rate = f.c_x, f.b, f.psi_amp, f.psi_rate
-        def fn(a, m, x):
-            u = cx * (x - amp * math.exp(-rate * a)) + b
-            return lo + hi / (1.0 + math.exp(-u)) if u > -500 else lo
-        return fn
-    ca, cx, b = f.c_a, f.c_x, f.b
-    cm = f.c_m[0]
-    if f.family == "sigmoid-affine":
-        def fn(a, m, x):
-            u = ca * K * (1.0 - math.exp(-a * kap / K)) + cm * m + cx * x + b
-            return lo + hi / (1.0 + math.exp(-u)) if u > -500 else lo
-        return fn
-    def fn(a, m, x):
-        u = ca * K * (1.0 - math.exp(-a * kap / K)) + cm * m + cx * x + b
-        sp = math.log1p(math.exp(u)) if u < 30 else u
-        return lo + hi * (1.0 - math.exp(-sp))
-    return fn
-
-
 def make_scalar_jump(j: mdl.JumpSpec):
     """gamma for one neuron's memory: a float when d = 1, a (d,) array
     otherwise, with the numbers of mdl.jump_apply (a one-element b is a
@@ -271,9 +229,9 @@ def simulate_network(spec: mdl.ModelSpec, N: int, T: float, seed: int,
         raise ValueError("need N >= 1 and T > 0")
     _ensure_assumptions(spec)
     rng, ages0, mems0, trace = _start(spec, N, seed)
-    f = make_scalar_intensity(spec)
+    f = spec.scalar_intensity()
     jump = make_scalar_jump(spec.jump)
-    gmod = _scalar_modulation(spec)
+    gmod = spec.scalar_modulation()
     mem_ref, decay = _memory_decay(spec, mems0)
     neg_lam = -spec.lam
     t_ref = np.zeros(N)
@@ -355,14 +313,12 @@ def simulate_coupled_pair(spec: mdl.ModelSpec, N: int, T: float, x_path,
     if spec.d != 1:
         raise NotImplementedError("coupled pair implemented for d = 1")
     _ensure_assumptions(spec)
-    xg = np.asarray(x_path.grid, dtype=float)
-    xv = np.asarray(x_path.values, dtype=float)
-    if xg[-1] < T - 1e-12:
+    if x_path.grid[-1] < T - 1e-12:
         raise ValueError("x_path does not cover [0, T]")
 
-    f = make_scalar_intensity(spec)
+    f = spec.scalar_intensity()
     jump = make_scalar_jump(spec.jump)
-    gmod = _scalar_modulation(spec)
+    gmod = spec.scalar_modulation()
     K, kap = spec.psi.K, spec.psi.kappa
 
     def psi_s(a):
@@ -385,7 +341,7 @@ def simulate_coupled_pair(spec: mdl.ModelSpec, N: int, T: float, x_path,
             elL = t - tL[i]
             a2 = aL[i] + elL
             m2 = decay(mL[i], elL)
-            acc2 = v <= f(a2, m2, float(np.interp(t, xg, xv)))
+            acc2 = v <= f(a2, m2, x_path(t))
             if acc1:
                 trace.add_event(t, gmod(a1, m1))
                 tN[i] = t; aN[i] = 0.0; mN[i] = jump(m1)
@@ -431,8 +387,8 @@ def simulate_equivalent_hawkes(spec: mdl.ModelSpec, N: int, T: float, seed: int,
     rng, ages0, mems0, trace = _start(spec, N, seed)
     lam0 = float(spec.lam[0])
     alpha = affine[1].item()
-    f = make_scalar_intensity(spec)
-    gmod = _scalar_modulation(spec)
+    f = spec.scalar_intensity()
+    gmod = spec.scalar_modulation()
     m0 = mems0[:, 0]
     own_events = [[] for _ in range(N)]
     last_event = np.zeros(N)

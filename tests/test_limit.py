@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from almsim import limit as lim
 from almsim import model as mdl
@@ -175,6 +177,49 @@ def test_limit_process_horizon_check(constant_rate_spec):
     with pytest.raises(ValueError):
         lim.simulate_limit_process(constant_rate_spec, xp, n=10, seed=0,
                                    save_times=[2.0])
+
+
+# ---------------------------------------------------------------------------
+# signal path
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@given(n=st.integers(2, 600), uniform=st.booleans(),
+       lo=st.floats(-50.0, 50.0), span=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_xpath_float_lookup_same_bits_as_interp(n, uniform, lo, span, seed):
+    # one float t takes XPath's binary search; it must give np.interp's
+    # bits on every knot, between knots, outside the range, one ulp inside
+    # and outside either end, on both zeros and on NaN
+    rng = np.random.default_rng(seed)
+    if uniform:
+        g = np.linspace(lo, lo + span, n)
+    else:
+        g = np.unique(lo + span * rng.random(n))
+        assume(g.size >= 2)
+    assert np.all(np.diff(g) > 0)
+    v = rng.normal(0.0, 5.0, g.size)
+    x = lim.XPath(g, v)
+    ends = [np.nextafter(e, s) for e in (g[0], g[-1])
+            for s in (-math.inf, math.inf)]
+    ts = np.concatenate([g, rng.uniform(g[0], g[-1], 200),
+                         g[0] - span * rng.random(5),
+                         g[-1] + span * rng.random(5),
+                         ends, [0.0, -0.0, math.inf, -math.inf]])
+    for t in ts:
+        want = np.interp(t, g, v)
+        for arg in (float(t), np.float64(t)):
+            assert _bits(x(arg)) == _bits(want), (arg, x(arg), want)
+    for arg in (math.nan, -math.nan, np.float64(math.nan)):
+        assert math.isnan(x(arg)) and _bits(x(arg)) == _bits(np.interp(arg, g, v))
+    # any other input still goes to np.interp, arrays included
+    got = x(ts)
+    assert isinstance(got, np.ndarray) and got.shape == ts.shape
+    assert got.tobytes() == np.interp(ts, g, v).tobytes()
 
 
 # ---------------------------------------------------------------------------

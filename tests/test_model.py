@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import gc
 import math
 from pathlib import Path
 
@@ -254,15 +255,21 @@ _state = st.one_of(st.floats(-1e4, 1e4), st.sampled_from([-600.0, 600.0, math.na
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @given(family=st.sampled_from(_FAMILIES), c_a=st.sampled_from([0.0, 0.7]),
        c_m=st.floats(-3.0, 3.0), c_x=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
-       a=st.floats(0.0, 60.0), m=_state, x=_state, numpy_in=st.booleans())
+       a=st.floats(0.0, 60.0), m=_state, x=_state, numpy_in=st.booleans(),
+       numpy_m=st.booleans())
 @settings(max_examples=600, deadline=None)
 def test_scalar_intensity_same_bits_as_intensity_eval(family, c_a, c_m, c_x, b,
-                                                      a, m, x, numpy_in):
+                                                      a, m, x, numpy_in,
+                                                      numpy_m):
+    # the path integral passes an np.float64 memory, the thinning loops
+    # often a python float
     spec = _d1_spec(family, c_a, c_m, c_x, b)
     want = spec.intensity(a, np.array([m]), x)
     if numpy_in:
         a, x = np.float64(a), np.float64(x)
-    assert _same_bits(spec.scalar_intensity()(a, np.float64(m), x), want)
+    if numpy_m:
+        m = np.float64(m)
+    assert _same_bits(spec.scalar_intensity()(a, m, x), want)
 
 
 @pytest.mark.parametrize("family", _FAMILIES)
@@ -283,12 +290,19 @@ def test_scalar_intensity_same_bits_on_many_states(family, c_a):
 @pytest.mark.parametrize("c_a", [0.0, 0.7])
 @pytest.mark.parametrize("m, x", [(600.0, 0.0), (-600.0, 0.0), (0.0, 900.0),
                                   (0.0, -900.0), (math.nan, 0.2),
-                                  (0.3, math.nan), (-0.0, -0.0)])
+                                  (0.3, math.nan), (-0.0, -0.0)]
+                         # u below -500 and from 30 up, where a logistic or
+                         # softplus might cut over to a limit form
+                         + [(0.0, x) for x in (-1000.0, -600.0, -500.0,
+                                               -499.0, 29.0, 30.0, 31.0,
+                                               45.0, 800.0)])
 def test_scalar_intensity_edge_states(family, c_a, m, x):
     spec = _d1_spec(family, c_a, c_m=1.0, c_x=1.0, b=0.0)
+    f = spec.scalar_intensity()
     for a in (0.0, 0.4, 30.0):
         want = spec.intensity(a, np.array([m]), x)
-        assert _same_bits(spec.scalar_intensity()(a, np.float64(m), x), want)
+        assert _same_bits(f(a, m, x), want)
+        assert _same_bits(f(a, np.float64(m), x), want)
 
 
 @pytest.mark.parametrize("family", _FAMILIES)
@@ -455,83 +469,68 @@ def test_affine_default_offset_same_bits_as_explicit():
     assert vals[0] == vals[1] and vals[0][0] > 0.0
 
 
-_JUMP_FIELDS = {"family", "alpha_vec", "alpha", "offset", "offset_vec"}
+def _field_reads(source, holder, cls, fields):
+    """Reads of the named fields of a spec in source: of x.<holder>.<field>,
+    of a name bound to a .<holder> attribute, or of an argument annotated
+    cls."""
+    tree = ast.parse(source)
+    names = set()
+
+    def is_spec(node):
+        return ((isinstance(node, ast.Attribute) and node.attr == holder)
+                or (isinstance(node, ast.Name) and node.id in names))
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and is_spec(node.value):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.arg) and node.annotation is not None \
+                and cls in ast.unparse(node.annotation):
+            names.add(node.arg)
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in fields and is_spec(node.value)]
 
 
-def _is_jump(node, names):
-    return ((isinstance(node, ast.Attribute) and node.attr == "jump")
-            or (isinstance(node, ast.Name) and node.id in names))
+def _reads_outside_model(*args):
+    return [f"{path.name}:{r}"
+            for path in sorted(Path(mdl.__file__).parent.glob("*.py"))
+            if path.name != "model.py"
+            for r in _field_reads(path.read_text(), *args)]
+
+
+_JUMP = ("jump", "JumpSpec", {"family", "alpha_vec", "alpha", "offset",
+                              "offset_vec"})
+_INTENSITY = ("f", "IntensitySpec",
+              {"family", "c_a", "c_m", "c_x", "b", "psi_amp", "psi_rate"})
+_MODULATION = ("h", "InteractionSpec",
+               {"modulation", "mod_intercept", "mod_slope", "mod_fn"})
 
 
 def test_only_model_reads_jump_families():
     # outside model.py, jump arithmetic goes through JumpSpec.affine and the
     # jump_* functions.  Flags reads such as spec.jump.family, and j.alpha
     # where the module binds j to a .jump attribute or annotates it JumpSpec.
-    bad = []
-    for path in sorted(Path(mdl.__file__).parent.glob("*.py")):
-        if path.name == "model.py":
-            continue
-        tree = ast.parse(path.read_text())
-        names = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Assign) and _is_jump(node.value, ()):
-                names.update(t.id for t in node.targets
-                             if isinstance(t, ast.Name))
-            elif isinstance(node, ast.arg) and node.annotation is not None \
-                    and "JumpSpec" in ast.unparse(node.annotation):
-                names.add(node.arg)
-        bad += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
-                for node in ast.walk(tree)
-                if isinstance(node, ast.Attribute)
-                and node.attr in _JUMP_FIELDS and _is_jump(node.value, names)]
-    assert not bad
-
-
-_INTENSITY_FIELDS = {"family", "c_a", "c_m", "c_x", "b", "psi_amp", "psi_rate"}
-
-
-def _intensity_field_reads(source, exempt_function=None):
-    """Reads of an IntensitySpec's family or coefficients in source: of
-    spec.f, of a name bound to a .f attribute, or of an argument annotated
-    IntensitySpec, outside the function named exempt_function."""
-    tree = ast.parse(source)
-    skip = {id(n) for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef) and fn.name == exempt_function
-            for n in ast.walk(fn)}
-    nodes = [n for n in ast.walk(tree) if id(n) not in skip]
-    names = set()
-
-    def is_intensity(node):
-        return ((isinstance(node, ast.Attribute) and node.attr == "f")
-                or (isinstance(node, ast.Name) and node.id in names))
-
-    for node in nodes:
-        if isinstance(node, ast.Assign) and is_intensity(node.value):
-            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
-        elif isinstance(node, ast.arg) and node.annotation is not None \
-                and "IntensitySpec" in ast.unparse(node.annotation):
-            names.add(node.arg)
-    return [f"{node.lineno}: {ast.unparse(node)}" for node in nodes
-            if isinstance(node, ast.Attribute)
-            and node.attr in _INTENSITY_FIELDS and is_intensity(node.value)]
+    assert not _reads_outside_model(*_JUMP)
 
 
 def test_only_model_reads_intensity_families():
     # outside model.py, intensity arithmetic goes through intensity_eval,
-    # ModelSpec.scalar_intensity and the age_free / memory_free predicates;
-    # particle.make_scalar_intensity keeps its own, because its event streams
-    # are pinned
-    assert sorted(_intensity_field_reads(
+    # ModelSpec.scalar_intensity and the age_free / memory_free predicates
+    assert sorted(_field_reads(
         "def g(spec, fs: mdl.IntensitySpec):\n    f = spec.f\n"
-        "    return spec.f.c_a + f.family + fs.b\n")) == [
+        "    return spec.f.c_a + f.family + fs.b + f.f_max\n", *_INTENSITY)) == [
             "3: f.family", "3: fs.b", "3: spec.f.c_a"]
-    bad = []
-    for path in sorted(Path(mdl.__file__).parent.glob("*.py")):
-        if path.name != "model.py":
-            bad += [f"{path.name}:{r}" for r in _intensity_field_reads(
-                path.read_text(), "make_scalar_intensity"
-                if path.name == "particle.py" else None)]
-    assert not bad
+    assert not _reads_outside_model(*_INTENSITY)
+
+
+def test_only_model_reads_modulation_families():
+    # outside model.py, the state modulation g(a, m) goes through
+    # modulation_eval and ModelSpec.scalar_modulation
+    assert sorted(_field_reads(
+        "def g(spec, hs: mdl.InteractionSpec):\n    h = spec.h\n"
+        "    return spec.h.modulation + h.mod_slope + hs.mod_fn + h.J\n",
+        *_MODULATION)) == ["3: h.mod_slope", "3: hs.mod_fn", "3: spec.h.modulation"]
+    assert not _reads_outside_model(*_MODULATION)
 
 
 @given(alpha=st.floats(0.01, 0.99), m=st.floats(-5.0, 5.0))
@@ -630,6 +629,26 @@ def test_spec_json_roundtrip(interacting_spec):
     back = mdl.ModelSpec.from_json(text)
     assert back == interacting_spec
     assert back.spec_hash() == interacting_spec.spec_hash()
+
+
+def test_to_dict_leaves_no_cyclic_garbage():
+    # a run hashes its spec; garbage that only the cyclic collector frees
+    # would pile up across runs in one process
+    from almsim import presets
+    spec = presets.preset("stp")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            spec.to_dict()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    # the encoder keeps every hash, and with it the manifests' spec_hash
+    assert {n: presets.preset(n).spec_hash()[:16]
+            for n in ("adaptation-1d", "stp", "plain-hawkes")} == {
+        "adaptation-1d": "c358faad3e5e9e1c", "stp": "0d6deb36ec6da293",
+        "plain-hawkes": "3d4c44c7708c4a2a"}
 
 
 def test_spec_dimension_validation():

@@ -29,31 +29,6 @@ def _constant_spec(rate=1.0, J=0.0, kernel="exponential", alpha=-0.5):
     )
 
 
-@pytest.mark.parametrize("c_a", [0.0, 0.7])
-@pytest.mark.parametrize("family", ["constant", "sigmoid-affine",
-                                    "exp-saturating", "stp-composite"])
-def test_scalar_intensity_matches_intensity_eval(family, c_a):
-    # the thinning loops' pure-python f against the array one; the signal
-    # range takes u below -500 (the scalar logistic returns f_min) and to 30
-    # and beyond (the scalar softplus returns u)
-    f_min = 1.2 if family == "constant" else 0.3
-    spec = dataclasses.replace(
-        presets.preset("adaptation-1d"), psi=mdl.PsiParams(K=1.5, kappa=0.8),
-        f=mdl.IntensitySpec(family=family, f_min=f_min, f_max=1.2, c_a=c_a,
-                            c_x=1.0, c_m=(0.8,), b=0.1))
-    fn = prt.make_scalar_intensity(spec)
-    xs = [-1000.0, -600.0, -500.0, -499.0, -40.0, -3.0, -0.5, 0.0, 0.7, 3.0,
-          29.0, 30.0, 31.0, 45.0, 800.0]
-    for a in (0.0, 0.3, 2.5, 12.0):
-        for m in (-2.5, -0.4, 0.0, 1.3):
-            got = [fn(a, m, x) for x in xs]
-            ref = mdl.intensity_eval(spec.f, spec.psi, a,
-                                     np.full((len(xs), 1), m), np.array(xs))
-            assert all(isinstance(v, float) for v in got)
-            np.testing.assert_allclose(got, np.broadcast_to(ref, len(xs)),
-                                       rtol=1e-13, atol=0.0)
-
-
 # ---------------------------------------------------------------------------
 # thinning correctness
 
