@@ -9,6 +9,7 @@ times, age, memory).  Serves as an independent oracle for the grid solver.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -16,6 +17,16 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import model as mdl
+
+# one Gauss-Legendre rule per order; no caller writes to a shared rule
+_leggauss = functools.cache(leggauss)
+
+# The survival rule: _GL_ORDER nodes per cell of time, with cells cut at the
+# signal's knots and at the multiples of _PANEL, which bounds them on long
+# knot-free stretches; rows go in blocks of about _BLOCK quadrature nodes.
+_GL_ORDER = 8
+_PANEL = 0.25
+_BLOCK = 2 ** 17
 
 
 def _check_times(times, t):
@@ -129,12 +140,13 @@ def phi_k_inverse_logdet(lead_times, a, m, t, spec: mdl.ModelSpec):
         return _logdet(0, (), t, spec)
     times = np.concatenate([lead_times, [t - a]])
     _check_times(times, t)
-    return _logdet(times.size, _invert_chain(times, m, t, spec)[1], t, spec)
+    return float(_logdet(times.size, _invert_chain(times, m, t, spec)[1], t,
+                         spec))
 
 
 def _logdet(k, posts, t, spec: mdl.ModelSpec):
     """log |det D(phi^k_t)^{-1}| given the k post-jump points of the backward
-    chain (an iterable, read only for a custom jump).
+    chain (arrays with the memory axis last, read only for a custom jump).
 
     The Jacobian is block triangular in (times, memory); the time block has
     unit absolute determinant, leaving exp(t TrLambda) times the product of
@@ -144,74 +156,77 @@ def _logdet(k, posts, t, spec: mdl.ModelSpec):
     j = spec.jump
     if j.affine is not None:
         return base - k * spec.d * math.log(j.affine[0])
-    return base + sum(float(mdl.jump_inverse_jacobian_logdet(j, p))
-                      for p in posts)
+    return base + sum(mdl.jump_inverse_jacobian_logdet(j, p) for p in posts)
 
 
 # ---------------------------------------------------------------------------
 # jump-time densities
 
 
-def _scalar_memory(spec, m):
-    """A (d,) memory in the form spec.scalar_intensity() takes it: its one
-    coordinate when d = 1, the array otherwise."""
-    return m[0] if spec.d == 1 else m
+def _survival(spec, x, t_a, t_b, age, mem):
+    """int_{t_a}^{t_b} f along the drift flow started at (age, mem) at time
+    t_a, one integral per row: t_a, t_b and age broadcast to the rows' shape,
+    and mem has that shape plus the memory axis.  x is an XPath.
 
-
-def _survival_integral(spec, x, t_a, t_b, age_at_a, mem_at_a):
-    """int_{t_a}^{t_b} f along the drift flow started at (age_at_a, mem_at_a)."""
-    from scipy.integrate import quad
-    f = spec.scalar_intensity()
-    mem = _scalar_memory(spec, np.atleast_1d(np.asarray(mem_at_a, dtype=float)))
-    nl = _scalar_memory(spec, -spec.lam)
-
-    def ig(s):
-        rel = s - t_a
-        return float(f(age_at_a + rel, mem * np.exp(nl * rel), float(x(s))))
-
-    val, _ = quad(ig, t_a, t_b, epsabs=1e-13, epsrel=1e-9, limit=200)
-    return val
+    Between the knots of x the signal is linear and the flow is smooth, so a
+    fixed composite Gauss-Legendre rule is exact to rounding (Davis &
+    Rabinowitz, Methods of Numerical Integration, ch. 2)."""
+    shape = np.broadcast(t_a, t_b, age, mem[..., 0]).shape
+    t_a, t_b, age = (np.broadcast_to(v, shape).ravel() for v in (t_a, t_b, age))
+    mem = np.broadcast_to(mem, shape + (spec.d,)).reshape(-1, spec.d)
+    edges = np.union1d(x.grid, _PANEL * np.arange(np.max(t_b) // _PANEL + 2))
+    # each row clips the cells to its own [t_a, t_b]
+    first = np.searchsorted(edges, t_a, "right") - 1
+    n = np.maximum(np.searchsorted(edges, t_b) - first, 0)
+    start = np.cumsum(n) - n
+    v, w = _leggauss(_GL_ORDER)
+    out = np.empty(n.size)
+    for rows in np.split(np.arange(n.size), 1 + np.flatnonzero(
+            np.diff(start // (_BLOCK // _GL_ORDER)))):
+        row = np.repeat(rows, n[rows])
+        cell = first[row] + np.arange(row.size) + start[rows[0]] - start[row]
+        s_lo = np.maximum(edges[cell], t_a[row])
+        half = 0.5 * (np.minimum(edges[cell + 1], t_b[row]) - s_lo)
+        s = (s_lo + half)[:, None] + half[:, None] * v
+        rel = s - t_a[row, None]
+        f = spec.intensity(age[row, None] + rel,
+                           mem[row, None] * np.exp(-spec.lam * rel[..., None]),
+                           x(s))
+        # a row's sum does not depend on the other rows of its block
+        out[rows] = np.bincount(row - rows[0], half * np.sum(f * w, axis=1),
+                                rows.size)
+    return out.reshape(shape)
 
 
 def _eta_chain(times, a0, m0, x, spec, t0=0.0, t=None):
     """Product of the survival and rate factors of jumps at `times` along the
-    flow from (a0, m0) at time t0; with t, times the no-further-jump survival
-    on (t_k, t]."""
-    lam = spec.lam
-    f = spec.scalar_intensity()
-    eta = 1.0
-    t_prev = t0
-    age = float(a0)
-    mem = np.atleast_1d(np.asarray(m0, dtype=float)).copy()
-    for tk in times:
-        I = _survival_integral(spec, x, t_prev, tk, age, mem)
+    flow from (a0, m0) at time t0, one per row: times is (S, k), m0 is (S, d)
+    or (d,), and a0 and t0 are scalars or (S,).  With t, times the
+    no-further-jump survival on (t_k, t]."""
+    eta = np.ones(times.shape[0])
+    t_prev, age, mem = t0, a0, m0
+    for tk in times.T:
         rel = tk - t_prev
-        age_k = age + rel
-        mem_k = mem * np.exp(-lam * rel)
-        eta *= math.exp(-I) * float(f(age_k, _scalar_memory(spec, mem_k),
-                                      float(x(tk))))
+        mem_k = mem * np.exp(-spec.lam * rel[:, None])
+        eta *= (np.exp(-_survival(spec, x, t_prev, tk, age, mem))
+                * spec.intensity(age + rel, mem_k, x(tk)))
         mem = mdl.jump_apply(spec.jump, mem_k)
-        age = 0.0
-        t_prev = tk
+        age, t_prev = 0.0, tk
     if t is None:
         return eta
-    return eta * math.exp(-_survival_integral(spec, x, t_prev, t, age, mem))
+    return eta * np.exp(-_survival(spec, x, t_prev, t, age, mem))
 
 
 def eta_k(times, a0, m0, x, spec: mdl.ModelSpec):
     """Joint density of the first k jump times at the given instants."""
-    times = np.asarray(times, dtype=float)
-    if times.size and (np.any(np.diff(times) <= 0) or times[0] <= 0):
-        raise ValueError("jump times must be strictly increasing and positive")
-    return _eta_chain(times, a0, m0, x, spec)
+    times = _check_times(times, math.inf)
+    return _eta_chain(times[None], a0, np.atleast_1d(m0), x, spec).item()
 
 
 def nu_k(t, times, a0, m0, x, spec: mdl.ModelSpec):
     """eta^k times the no-further-jump survival on (t_k, t]."""
-    times = np.asarray(times, dtype=float)
-    if times.size and times[-1] > t:
-        raise ValueError("need t >= t_k")
-    return _eta_chain(times, a0, m0, x, spec, t=t)
+    times = _check_times(times, t)
+    return _eta_chain(times[None], a0, np.atleast_1d(m0), x, spec, t=t).item()
 
 
 def jump_count_tail(T, f_max, epsilon):
@@ -238,7 +253,7 @@ def _simplex_nodes(dims, t_hi, cfg: PathIntegralConfig, rng, n_mc):
         return np.zeros((1, 0)), np.ones(1)
     if dims <= max(cfg.gl_orders):
         order = cfg.gl_orders.get(dims, 8)
-        v, w = leggauss(order)
+        v, w = _leggauss(order)
         v = 0.5 * (v + 1.0)
         w = 0.5 * w
         grids = np.meshgrid(*([v] * dims), indexing="ij")
@@ -266,7 +281,8 @@ def _simplex_nodes(dims, t_hi, cfg: PathIntegralConfig, rng, n_mc):
 
 def density_at(t, a, m, u0: mdl.InitialLaw, x, cfg: PathIntegralConfig,
                spec: mdl.ModelSpec):
-    """Density value at (t, a, m) summed over jump counts up to K_max.
+    """Density value at (t, a, m) summed over jump counts up to K_max, on the
+    XPath x.
 
     Returns (value, truncation_bound) with the bound the Poisson(f_max*t)
     tail beyond K_max.  Raises ValueError unless t and a are finite and
@@ -274,11 +290,9 @@ def density_at(t, a, m, u0: mdl.InitialLaw, x, cfg: PathIntegralConfig,
 
     For each k the backward chain runs once over all simplex nodes, and the
     initial memory law is evaluated on all their preimages at once; the
-    survival and rate factors are then computed only at nodes whose preimage
-    density is not <= 0 (a NaN density is kept and propagates).  When f is
-    age-free, the first-segment survival integral and the rate at t_1 do not
-    depend on the initial age, so they are computed once per node instead of
-    once per initial-age node.  Neither changes a bit of the value.
+    survival and rate factors are then computed in array passes over the
+    nodes whose preimage density is not <= 0 (a NaN density is kept and
+    propagates), the first factor over those nodes times the initial ages.
     """
     from scipy.special import pdtrc
     m = np.atleast_1d(np.asarray(m, dtype=float))
@@ -291,53 +305,39 @@ def density_at(t, a, m, u0: mdl.InitialLaw, x, cfg: PathIntegralConfig,
         base = u0.density(a0, m0)
         if base <= 0.0:
             return 0.0, trunc
-        I = _survival_integral(spec, x, 0.0, t, a0, m0)
+        I = _survival(spec, x, 0.0, t, a0, m0)
         return float(base * math.exp(_logdet(0, (), t, spec) - I)), trunc
 
     tk = t - a
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     cut = u0.age_cutoff()
-    gl_a, gl_w = leggauss(32)
+    gl_a, gl_w = _leggauss(32)
     a0_nodes = 0.5 * (gl_a + 1.0) * cut
-    a0_w = 0.5 * gl_w * cut
-    ages = [(a0v, wv, float(da)) for a0v, wv, da
-            in zip(a0_nodes, a0_w, u0.density_age(a0_nodes)) if not da <= 0.0]
-    age_free = spec.f.age_free
-    f = spec.scalar_intensity()
-
-    def first_factors(a0v, t1, m0, m1, x1):
-        """exp(-int_0^t1 f) and f at t1 along the flow from (a0v, m0)."""
-        I1 = _survival_integral(spec, x, 0.0, t1, a0v, m0)
-        return math.exp(-I1), float(f(a0v + t1, _scalar_memory(spec, m1), x1))
+    w_da = 0.5 * gl_w * cut * u0.density_age(a0_nodes)
 
     total = 0.0
     for k in range(1, cfg.K_max + 1):
         nodes, weights = _simplex_nodes(k - 1, tk, cfg, rng, cfg.mc_samples)
-        all_times = np.concatenate([nodes, np.full((nodes.shape[0], 1), tk)],
-                                   axis=1)
-        all_m0, all_posts = _invert_chain(all_times.T[:, :, None], m, t, spec)
-        all_dens = u0.density_mem(all_m0)
-        acc = 0.0
-        for i in np.flatnonzero(~(all_dens <= 0.0)):
-            times, m0 = all_times[i], all_m0[i]
-            t1 = times[0]
-            m1 = m0 * np.exp(-spec.lam * t1)
-            # the chain after the first jump does not depend on the initial age
-            rest = _eta_chain(times[1:], 0.0, mdl.jump_apply(spec.jump, m1), x,
-                              spec, t0=t1, t=t)
-            # initial-age integral over the first survival-and-rate factor
-            x1 = float(x(t1))
-            if age_free:
-                shared = first_factors(0.0, t1, m0, m1, x1)
-            first = 0.0
-            for a0v, wv, da in ages:
-                surv1, rate1 = shared if age_free else first_factors(
-                    a0v, t1, m0, m1, x1)
-                first += wv * da * surv1 * rate1
-            logdet = _logdet(k, (p[i] for p in all_posts), t, spec)
-            acc += (weights[i] * float(all_dens[i]) * first * rest
-                    * math.exp(logdet))
-        total += acc
+        times = np.concatenate([nodes, np.full((nodes.shape[0], 1), tk)],
+                               axis=1)
+        m0, posts = _invert_chain(times.T[:, :, None], m, t, spec)
+        dens = u0.density_mem(m0)
+        keep = ~(dens <= 0.0)
+        if not keep.any():
+            continue
+        times, m0, posts = times[keep], m0[keep], [p[keep] for p in posts]
+        t1 = times[:, 0]
+        m1 = m0 * np.exp(-spec.lam * t1[:, None])
+        # the chain after the first jump does not depend on the initial age
+        rest = _eta_chain(times[:, 1:], 0.0, mdl.jump_apply(spec.jump, m1), x,
+                          spec, t0=t1, t=t)
+        # the first survival-and-rate factor, integrated over the initial age
+        first = (np.exp(-_survival(spec, x, 0.0, t1[:, None], a0_nodes,
+                                   m0[:, None]))
+                 * spec.intensity(a0_nodes + t1[:, None], m1[:, None],
+                                  x(t1)[:, None])) @ w_da
+        total += float(np.sum(weights[keep] * dens[keep] * first * rest
+                              * np.exp(_logdet(k, posts, t, spec))))
     return float(total), trunc
 
 
@@ -387,7 +387,7 @@ def density_on_grid(t, a_nodes, m_nodes, u0: mdl.InitialLaw, x0,
         return np.interp(v, sgrid, fvals)
 
     # first-segment kernel integrated against the initial age law
-    gl_a, gl_w = leggauss(64)
+    gl_a, gl_w = _leggauss(64)
     a0n = 0.5 * (gl_a + 1.0) * cut
     a0w = 0.5 * gl_w * cut
     da0 = np.asarray(u0.density_age(a0n), dtype=float)

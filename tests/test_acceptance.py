@@ -102,6 +102,7 @@ def test_criterion_03_pathint_vs_pde(acceptance_log):
     assert ok
 
 
+@pytest.mark.filterwarnings("error")
 def test_criterion_04_survival_density_identity(interacting_spec, rng,
                                                 acceptance_log):
     # nu^k at t times the instantaneous rate equals nu^{k+1} with a jump at t

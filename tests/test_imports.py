@@ -52,3 +52,19 @@ def test_particles_on_uniform_laws_load_no_scipy():
         "limit.solve_x_picard(spec, 0.2, dt=0.05, n_particles=100, seed=0)\n"
         "model.validate_assumptions(spec, n_samples=200, seed=0)\n")
     assert "scipy" not in mods
+
+
+def test_pathint_point_loads_no_scipy_integrate():
+    mods = _loaded_after(
+        "import numpy as np\n"
+        "from almsim import pathint, presets\n"
+        "from almsim.limit import XPath\n"
+        "spec = presets.preset('adaptation-1d')\n"
+        "x = XPath(np.array([0.0, 1.0]), np.zeros(2))\n"
+        "cfg = pathint.PathIntegralConfig(K_max=3)\n"
+        "for a in (0.2, 0.8):\n"
+        "    val, _ = pathint.density_at(0.5, a, np.array([-0.5]),\n"
+        "                                spec.init_law, x, cfg, spec)\n"
+        "    assert val > 0.0\n")
+    assert "scipy.special" in mods     # the Poisson tail
+    assert "scipy.integrate" not in mods

@@ -27,7 +27,7 @@ def _spec(f=None, jump=None, Lambda=(1.0,), init=None):
     )
 
 
-ZERO_X = lambda s: 0.0
+ZERO_X = XPath(np.array([0.0, 1.0]), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +177,7 @@ def test_nu0_constant_rate_survival():
     assert abs(got - math.exp(-1.7)) < 1e-10
 
 
+@pytest.mark.filterwarnings("error")
 def test_lemma_identity_nu_times_f(interacting_spec, rng):
     # nu^k at t times the instantaneous rate equals nu^{k+1} with a jump at t
     spec = interacting_spec
@@ -196,6 +197,65 @@ def test_lemma_identity_nu_times_f(interacting_spec, rng):
         lhs *= float(spec.intensity(age_t, mem_t, float(x(t))))
         rhs = pi.nu_k(t, np.concatenate([times, [t]]), a0, m0, x, spec)
         assert abs(lhs - rhs) / abs(rhs) < 1e-8
+
+
+def _survival_case(name):
+    """One spec per intensity family and c_a, and a d = 2 spec."""
+    if name == "d2":
+        return mdl.ModelSpec(
+            d=2, Lambda=(1.0, 0.5), psi=mdl.PsiParams(K=1.0, kappa=1.0),
+            f=mdl.IntensitySpec(family="sigmoid-affine", f_min=0.3, f_max=2.0,
+                                c_a=0.7, c_x=0.8, c_m=(0.7, -0.4), b=0.1),
+            h=mdl.InteractionSpec(kernel="exponential", tau=0.5, J=0.0,
+                                  modulation="none"),
+            jump=mdl.JumpSpec(family="affine-contraction", alpha=0.3),
+            init_law=mdl.InitialLaw(age=("exponential", 1.0),
+                                    mem=(("uniform", -1.0, 0.0),
+                                         ("uniform", 0.0, 0.5))))
+    family, c_a = name.rsplit("-", 1)
+    if family == "constant":
+        f = mdl.IntensitySpec(family="constant", f_min=1.3, f_max=1.3)
+    else:
+        f = mdl.IntensitySpec(family=family, f_min=0.3, f_max=1.5,
+                              c_a=float(c_a), c_x=1.0, c_m=(0.5,), b=0.1,
+                              psi_amp=1.0 + float(c_a), psi_rate=2.0)
+    return _spec(f=f, Lambda=(0.7,))
+
+
+@pytest.mark.parametrize("path", ["2-knot", "501-knot"])
+@pytest.mark.parametrize("name", [
+    f"{fam}-{c_a}" for fam in ("constant", "sigmoid-affine", "exp-saturating",
+                               "stp-composite") for c_a in ("0", "0.7")]
+    + ["d2"])
+def test_survival_rule_matches_quad_per_knot_interval(name, path, monkeypatch):
+    # the reference is quad on each interval between the knots, where x is
+    # linear and the integrand smooth
+    spec = _survival_case(name)
+    if path == "2-knot":
+        x, n, span = XPath(np.array([0.0, 2.0]), np.array([0.4, -0.3])), 40, 3
+    else:
+        ts = np.linspace(0.0, 5.0, 501)
+        x, n, span = XPath(ts, 0.3 * np.sin(ts)), 10, 1.0
+    rng = np.random.default_rng(17)
+    t_a = rng.uniform(0.0, 4.0, n)
+    t_b = t_a + rng.uniform(0.0, span, n)
+    age = rng.uniform(0.0, 2.0, n)
+    mem = rng.normal(-0.5, 0.5, (n, spec.d))
+    got = pi._survival(spec, x, t_a, t_b, age, mem)
+    f = spec.scalar_intensity()
+    for ta, tb, a0, m0, val in zip(t_a, t_b, age, mem, got):
+        def ig(s):
+            m_s = m0 * np.exp(-spec.lam * (s - ta))
+            return float(f(a0 + s - ta, m_s[0] if spec.d == 1 else m_s,
+                           float(x(s))))
+        cuts = [ta, *x.grid[(x.grid > ta) & (x.grid < tb)], tb]
+        ref = math.fsum(quad(ig, lo, hi, epsabs=0.0, epsrel=1e-13,
+                             limit=500)[0] for lo, hi in zip(cuts, cuts[1:]))
+        assert abs(val - ref) <= 1e-13 * ref
+    # rows in blocks of a few nodes give the same bits as one block
+    monkeypatch.setattr(pi, "_BLOCK", 3 * pi._GL_ORDER)
+    blocked = pi._survival(spec, x, t_a, t_b, age, mem)
+    assert blocked.tobytes() == got.tobytes()
 
 
 def test_nu_masses_are_poisson_weights():
@@ -434,11 +494,11 @@ def _pin_case(name):
 _DENSITY_PINS = {
     "adaptation-k0": (0.7756835703812676, 0.003358068853247998),
     "stp-k0": (1.390150824667655, 0.003358068853247998),
-    "adaptation-mc": (0.00827153791580781, 1.4164937322342495e-05),
-    "stp": (3.0956429498925555, 0.003358068853247998),
+    "adaptation-mc": (0.008271537915807809, 1.4164937322342495e-05),
+    "stp": (3.0956429498925546, 0.003358068853247998),
     "stp-nan": (math.nan, 0.003358068853247998),
-    "custom-jump": (2.447109667512636, 0.010879329796724178),
-    "d2": (11.468901268773685, 0.03376896818565569),
+    "custom-jump": (2.4471096675126356, 0.010879329796724178),
+    "d2": (11.468901268773681, 0.03376896818565569),
     "zero": (0.0, 1.0023796028842995e-06),
 }
 
