@@ -232,7 +232,8 @@ def test_survival_rule_matches_quad_per_knot_interval(name, path, monkeypatch):
     # linear and the integrand smooth
     spec = _survival_case(name)
     if path == "2-knot":
-        x, n, span = XPath(np.array([0.0, 2.0]), np.array([0.4, -0.3])), 40, 3
+        x = XPath(np.array([0.0, 2.0]), np.array([0.4, -0.3]))
+        n, span = 40, 3.0
     else:
         ts = np.linspace(0.0, 5.0, 501)
         x, n, span = XPath(ts, 0.3 * np.sin(ts)), 10, 1.0
@@ -252,7 +253,7 @@ def test_survival_rule_matches_quad_per_knot_interval(name, path, monkeypatch):
         ref = math.fsum(quad(ig, lo, hi, epsabs=0.0, epsrel=1e-13,
                              limit=500)[0] for lo, hi in zip(cuts, cuts[1:]))
         assert abs(val - ref) <= 1e-13 * ref
-    # rows in blocks of a few nodes give the same bits as one block
+    # blocks of three cells give the same bits as one block
     monkeypatch.setattr(pi, "_BLOCK", 3 * pi._GL_ORDER)
     blocked = pi._survival(spec, x, t_a, t_b, age, mem)
     assert blocked.tobytes() == got.tobytes()
