@@ -48,6 +48,16 @@ def psi_eval(a, p: PsiParams):
     return p.K * (-np.expm1(-a * p.kappa / p.K))
 
 
+def scalar_psi(p: PsiParams):
+    """psi_eval on one float64 age, with its bits: the same operations in the
+    same order, without the array conversion and the sign check."""
+    K, kappa = p.K, p.kappa
+
+    def psi(a):
+        return K * (-np.expm1(-a * kappa / K))
+    return psi
+
+
 def psi_prime(a, p: PsiParams):
     a = np.asarray(a, dtype=float)
     return p.kappa * np.exp(-a * p.kappa / p.K)
@@ -224,6 +234,17 @@ class InteractionSpec:
         if self.modulation == "custom-bounded" and self.mod_fn is None:
             raise ConfigurationError("custom-bounded modulation needs mod_fn")
 
+    @property
+    def age_free(self):
+        """True when g does not depend on age: every modulation but the
+        custom one."""
+        return self.modulation != "custom-bounded"
+
+    @property
+    def memory_free(self):
+        """True when g does not depend on memory: no modulation."""
+        return self.modulation == "none"
+
 
 def kernel_eval(spec: InteractionSpec, t):
     t = np.asarray(t, dtype=float)
@@ -238,6 +259,27 @@ def kernel_eval(spec: InteractionSpec, t):
     ss = np.clip(s, 0.0, 1.0 - 1e-12)
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - ss[inside] ** 2))
     return out
+
+
+def scalar_kernel(spec: InteractionSpec):
+    """kernel_eval at one float lag as a python float, with its bits: the
+    same operations in the same order on the one value."""
+    tau = spec.tau
+    if spec.kernel == "exponential":
+        def kernel(t):
+            return float(np.exp(-min(t / tau, 700.0))) if t >= 0 else 0.0
+    elif spec.kernel == "erlang":
+        def kernel(t):
+            s = t / tau
+            return float(s * np.exp(-min(s, 700.0))) if t >= 0 else 0.0
+    else:
+        def kernel(t):
+            s = t / tau
+            if not (t >= 0 and s < 1.0):
+                return 0.0
+            ss = min(s, 1.0 - 1e-12)
+            return float(np.exp(1.0 - 1.0 / (1.0 - ss * ss)))
+    return kernel
 
 
 def modulation_eval(spec: InteractionSpec, a, m):
@@ -335,11 +377,12 @@ def jump_inverse_jacobian_logdet(j: JumpSpec, m):
         return np.full(m.shape[:-1], 0.0 - d * math.log(j.affine[0]))
     if j.fn_inv is None:
         raise ConfigurationError("custom jump has no inverse")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    eps = 1e-6 * scale
     flat = m.reshape(-1, d)
     out = np.empty(flat.shape[0])
     for i, mi in enumerate(flat):
+        # each point's own step, so that its value does not depend on the
+        # other points of the batch
+        eps = 1e-6 * max(1.0, float(np.max(np.abs(mi))))
         J = np.empty((d, d))
         for k in range(d):
             e = np.zeros(d)

@@ -97,6 +97,7 @@ class _XTrace:
         self.s1 = 0.0
         self.recent = deque()    # (time, g) of the finite-support events
         self._horizon = spec.h.tau
+        self._kernel = mdl.scalar_kernel(spec.h)
 
     def value(self, t):
         he = self.h_mean
@@ -117,7 +118,7 @@ class _XTrace:
             lag = t - te
             if lag >= self._horizon:
                 break
-            acc += g * float(mdl.kernel_eval(self.spec.h, lag))
+            acc += g * self._kernel(lag)
         return he + self.J * acc / self.N
 
     def add_event(self, t, g):
@@ -319,10 +320,7 @@ def simulate_coupled_pair(spec: mdl.ModelSpec, N: int, T: float, x_path,
     f = spec.scalar_intensity()
     jump = make_scalar_jump(spec.jump)
     gmod = spec.scalar_modulation()
-    K, kap = spec.psi.K, spec.psi.kappa
-
-    def psi_s(a):
-        return K * (1.0 - math.exp(-a * kap / K))
+    psi_s = mdl.scalar_psi(spec.psi)
 
     def replica(rep):
         rng, ages0, mems0, trace = _start(spec, N, seed, spawn_key=(rep,))

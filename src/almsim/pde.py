@@ -1,15 +1,13 @@
 """Semi-Lagrangian solver for the limit population density equation.
 
 The density rho_t(a, m) is marched on characteristics: age advances at unit
-speed (node-aligned, no age interpolation), memory follows the closed-form
-decay flow with volume factor exp(dt*TrLambda), and survival attenuation uses
-a midpoint rule in the exponent.  The age-zero border layer is rebuilt each
-step from the jump-mapped loss integral, and the deterministic signal x_t
-satisfies a Volterra equation discretized with the left-endpoint rule.
-
-Each step does its per-row work (decay pull, survival, loss density f rho,
-memory integrals) in one pass over L2-sized blocks of age rows; the age
-integrals, the border layer and the clip then run once on the whole grid.
+speed (node-aligned, no age interpolation), and memory follows the
+closed-form decay flow, carried exactly by holding each age row in the
+cohort coordinate mu = exp(Lambda min(a, t)) m, which the flow leaves fixed.
+Survival attenuation uses a midpoint rule in the exponent.  The age-zero
+border layer is rebuilt each step from the jump-mapped loss integral, and
+the deterministic signal x_t satisfies a Volterra equation discretized with
+the left-endpoint rule.
 """
 
 from __future__ import annotations
@@ -175,6 +173,25 @@ def _pchip_slopes(mk):
     return d
 
 
+def _cum_slopes(a, h):
+    """Cumulative trapezoid mass along the last axis of a, its cell slopes and
+    the PCHIP node slopes of that cumulative mass."""
+    cum = np.zeros(a.shape)
+    np.cumsum(0.5 * (a[..., :-1] + a[..., 1:]) * h, axis=-1, out=cum[..., 1:])
+    mk = (cum[..., 1:] - cum[..., :-1]) / h
+    return cum, mk, _pchip_slopes(mk)
+
+
+def _match_mass(vals, exact, trapz):
+    """Rescales every slice of vals so its trapezoid integral matches the exact
+    mapped mass C(t_hi) - C(t_lo); the pointwise derivative samples alone are
+    only second-order consistent with it."""
+    den = _dot_last(vals, trapz)
+    ratio = np.divide(exact, den, out=np.ones_like(den),
+                      where=np.abs(den) > 1e-300)
+    vals *= ratio[..., None]
+
+
 def _mass_remap(arr, tab: _RemapTable, axis):
     """Conservative monotone remap of a density along one axis.
 
@@ -194,23 +211,55 @@ def _mass_remap(arr, tab: _RemapTable, axis):
     variants, oscillation growth for the unlimited cubic).
     """
     a = np.moveaxis(np.asarray(arr, dtype=float), axis, -1)
-    h = tab.h
-    cum = np.zeros(a.shape)
-    np.cumsum(0.5 * (a[..., :-1] + a[..., 1:]) * h, axis=-1, out=cum[..., 1:])
-    mk = (cum[..., 1:] - cum[..., :-1]) / h
-    d = _pchip_slopes(mk)
+    cum, mk, d = _cum_slopes(a, tab.h)
     i = tab.idx
     vals = tab.w_m * mk[..., i] + tab.w_0 * d[..., i] + tab.w_1 * d[..., i + 1]
-    # rescale every slice so its trapezoid integral matches the exact mapped
-    # mass C(t_hi) - C(t_lo); the pointwise derivative samples alone are only
-    # second-order consistent with it
     if tab.ends is not None:
         ie, wy, wd = tab.ends
-        exact = _dot_last(cum[..., ie], wy) + _dot_last(d[..., ie], wd)
-        den = _dot_last(vals, tab.trapz)
-        ratio = np.divide(exact, den, out=np.ones_like(den),
-                          where=np.abs(den) > 1e-300)
-        vals *= ratio[..., None]
+        _match_mass(vals, _dot_last(cum[..., ie], wy) + _dot_last(d[..., ie], wd),
+                    tab.trapz)
+    return np.moveaxis(vals, -1, axis)
+
+
+def _stack_tables(tabs):
+    """The tables of one axis stacked into one, row r holding tabs[r], for
+    _remap_rows.  A table with no target inside the box gets zero end
+    weights, which leave its all-zero result unscaled."""
+    none = (np.zeros(4, dtype=np.intp), np.zeros(4), np.zeros(4))
+    ends = [none if t.ends is None else t.ends for t in tabs]
+    fields = [np.stack([getattr(t, f) for t in tabs])
+              for f in ("idx", "w_m", "w_0", "w_1")]
+    return _RemapTable(tabs[0].h, *fields, tabs[0].trapz,
+                       tuple(np.stack(e) for e in zip(*ends)))
+
+
+def _table_rows(tab, key):
+    """Rows key of a stacked table: a slice gives a stacked table, an index
+    one table for _mass_remap."""
+    return _RemapTable(tab.h, tab.idx[key], tab.w_m[key], tab.w_0[key],
+                       tab.w_1[key], tab.trapz, tuple(e[key] for e in tab.ends))
+
+
+def _remap_rows(arr, tab: _RemapTable, axis):
+    """_mass_remap of each index of arr's leading axis with its own table:
+    tab is stacked (see _stack_tables), one row per leading index."""
+    a = np.moveaxis(np.asarray(arr, dtype=float), axis, -1)
+    cum, mk, d = _cum_slopes(a, tab.h)
+    lead = (a.shape[0],) + (1,) * (a.ndim - 2)
+
+    def per_row(w):
+        return w.reshape(lead + w.shape[-1:])
+
+    def take(v, i):
+        return np.take_along_axis(v, per_row(i), axis=-1)
+
+    i = tab.idx
+    vals = (per_row(tab.w_m) * take(mk, i) + per_row(tab.w_0) * take(d, i)
+            + per_row(tab.w_1) * take(d, i + 1))
+    ie, wy, wd = tab.ends
+    exact = (np.einsum("...i,...i->...", take(cum, ie), per_row(wy))
+             + np.einsum("...i,...i->...", take(d, ie), per_row(wd)))
+    _match_mass(vals, exact, tab.trapz)
     return np.moveaxis(vals, -1, axis)
 
 
@@ -275,43 +324,42 @@ def lm_mass(rho, m_nodes_list):
     return float(_m_trapz(rho, [_trapz_weights(n) for n in m_nodes_list]))
 
 
-def _m_mesh(grid: Grid, scale=None):
+def _m_mesh(grid: Grid):
     axes = [grid.m_nodes(k) for k in range(grid.d)]
-    if scale is not None:
-        axes = [ax * sc for ax, sc in zip(axes, scale)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-def _remap_tables(spec, nodes_list, lam, dt):
-    """Per-axis remap tables for the decay pull and the jump pull.
-
-    The per-axis dslope factors multiply out to the full Jacobians: the
-    volume factor exp(dt tr Lambda) for the decay flow and |det D gamma^-1|
-    for the jump inverse, so neither appears separately in the solvers.
-    """
+def _jump_pulls(spec, nodes_list):
+    """Per-axis targets gamma^-1(m) and dslope of the jump pull on the memory
+    nodes.  The dslope factors multiply out to |det D gamma^-1|, so the
+    Jacobian never appears separately in the solvers."""
     j = spec.jump
     if j.affine is not None:
         c, b = j.affine
         b = np.broadcast_to(b, (spec.d,))
-        pulls = [((nodes - b[k]) / c, 1.0 / c)
-                 for k, nodes in enumerate(nodes_list)]
-    elif spec.d == 1:
+        return [((nodes - b[k]) / c, 1.0 / c) for k, nodes in enumerate(nodes_list)]
+    if spec.d == 1:
         m = nodes_list[0][:, None]
-        pulls = [(mdl.jump_inverse(j, m)[:, 0],
-                  np.exp(mdl.jump_inverse_jacobian_logdet(j, m)))]
-    else:
-        raise NotImplementedError("custom jumps on grids need d = 1")
+        return [(mdl.jump_inverse(j, m)[:, 0],
+                 np.exp(mdl.jump_inverse_jacobian_logdet(j, m)))]
+    raise NotImplementedError("custom jumps on grids need d = 1")
+
+
+def _remap_tables(spec, nodes_list, lam, dt):
+    """Per-axis remap tables for the decay pull, whose dslope factors give
+    the volume factor exp(dt tr Lambda), and for the jump pull."""
     decay = []
     for nodes, l in zip(nodes_list, lam):
         s = math.exp(l * dt)
         decay.append(_remap_table(nodes, nodes * s, s))
-    return decay, [_remap_table(n, *p) for n, p in zip(nodes_list, pulls)]
+    return decay, [_remap_table(n, *p)
+                   for n, p in zip(nodes_list, _jump_pulls(spec, nodes_list))]
 
 
-def _pull(arr, table, m_axis0):
+def _pull(arr, table, m_axis0, remap=_mass_remap):
     out = arr
     for k, tab in enumerate(table):
-        out = _mass_remap(out, tab, m_axis0 + k)
+        out = remap(out, tab, m_axis0 + k)
     return out
 
 
@@ -322,16 +370,36 @@ def _border(Fr, wa, jump_tab):
     return _pull(np.einsum("i,i...->...", wa, Fr), jump_tab, 0)
 
 
+def _rows(C, lo, hi):
+    """Rows lo to hi - 1 of a per-row array C of R rows whose last row stands
+    for every row from R - 1 on; an array of one row broadcasts."""
+    r = C.shape[0] - 1
+    if hi - 1 <= r:
+        return C[lo:hi]
+    if lo >= r:
+        return C[r:]
+    return np.concatenate([C[lo:r], np.broadcast_to(C[r:], (hi - r,) + C.shape[1:])])
+
+
 # ---------------------------------------------------------------------------
 # main solver
 
 
 # Nodes in one age-row block of the march.  Its temporaries, 256 KiB each,
-# fit in L2 and are reused from the allocator's free memory.  With 2^17 or
-# 2^18 nodes a solve on the 1201 x 101 grid of configs/golden/pde.json took
-# 25k page faults instead of under 2k; with 2^13 or 2^14 the per-block
-# overhead made the steps slower.
+# fit in L2 and are reused from the allocator's free memory.  Over ten
+# alternating pairs of the pde-presets benchmark, a pass took 0.29 s in
+# blocks against 0.42 s with one block for the whole grid, and peaked at 92
+# instead of 120 MiB.
 _BLOCK_ELEMS = 1 << 15
+
+
+def _row_blocks(lo, hi, rows):
+    """Rows lo to hi - 1 in blocks of about rows rows, none of one row unless
+    hi - lo is one: numpy gathers a remap's cells of one row into a
+    C-ordered array and those of more rows into an F-ordered one, and
+    einsum sums the two layouts in different orders."""
+    starts = list(range(lo, max(hi - 1, lo + 1), rows))
+    return [(a, b) for a, b in zip(starts, starts[1:] + [hi]) if b > a]
 
 
 def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
@@ -339,18 +407,30 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
                   border_sweeps=2) -> DensitySolution:
     """Marches the Lagrangian solution of the full age-and-memory equation.
 
-    A step goes over the age rows in blocks of about 2^15 nodes.  For each
-    block it pulls the density rows that feed it along the decay flow,
-    applies the survival factor, forms the loss density f rho and the memory
-    integrals of rho, f rho and g f rho on each row, and notes whether a row
-    went negative.  What needs every row follows the blocks: the age
-    integrals for the border layer and the signal, the border sweeps, row 0
-    and the clip.  The block size changes no bit of the result.
+    The march carries each age row in cohort coordinates.  Between events a
+    memory decays as m(s) = exp(-Lambda s) m, so mu = exp(Lambda min(a, t)) m
+    stays constant along every characteristic: the memory at birth for a
+    < t, the memory at time 0 otherwise.  Row i at step n holds its density
+    in mu units on the fixed memory nodes, with the per-axis scale sigma =
+    exp(dt Lambda min(i, n)), and f and g are evaluated at m = mu / sigma.  A
+    step is then a shift by one age row times exp(-dt f) at the midpoint of
+    the characteristic, with no memory remap, followed by the memory
+    integrals of each row and the border layer.  Rows i >= n share the
+    scale of step n: their loss density is integrated over age and pulled
+    through one table with targets sigma_n gamma^-1(m).  Each younger row
+    has its own table, built once per solve, and one call pulls them all.
+    Row 0 has sigma = 1 and is the border layer itself.
 
-    step_callback(n, t_n, rho, x_n, F) gets rho_n and f at (t_n, x_n), F as
-    a read-only view of the shape of rho.  Two density buffers take turns,
-    so the rho handed over is overwritten two steps later; a callback that
-    keeps it must copy it.
+    rho_at, borders and what step_callback receives are m-grid densities:
+    each row with sigma > 1 is converted by one conservative remap with
+    targets sigma m.  That costs about one full-grid remap per conversion;
+    it is paid at the save times, and at every step when a callback is
+    given.
+
+    step_callback(n, t_n, rho, x_n, F) gets rho_n on the m grid and f at
+    (t_n, x_n) on the m grid, F as a read-only view of the shape of rho.
+    rho is overwritten at the next step; a callback that keeps it must copy
+    it.
     """
     d = grid.d
     if d != spec.d:
@@ -367,43 +447,95 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
     if Hbar is None:
         Hbar = lambda t: float(spec.Hbar(t))
 
-    # initial density on nodes, normalized to unit trapezoid mass
+    # initial density on nodes, normalized to unit trapezoid mass; at step 0
+    # every sigma is 1, so it is also the state in mu units
     if u0 is None:
-        rho = spec.init_law.density_age(A) * np.broadcast_to(
+        u = spec.init_law.density_age(A) * np.broadcast_to(
             spec.init_law.density_mem(mesh), (na,) + shape_m)
     else:
-        rho = np.asarray(u0(A, mesh), dtype=float)
-        rho = np.broadcast_to(rho, (na,) + shape_m).copy()
-    rho = np.ascontiguousarray(rho, dtype=float)
-    m0_tot = mass(rho, grid)
+        u = np.asarray(u0(A, mesh), dtype=float)
+        u = np.broadcast_to(u, (na,) + shape_m).copy()
+    u = np.ascontiguousarray(u, dtype=float)
+    m0_tot = mass(u, grid)
     if m0_tot <= 0:
         raise mdl.ConfigurationError("initial density has nonpositive mass")
-    rho = rho / m0_tot
+    u = u / m0_tot
 
-    # conservative remap tables for the decay pullback and the jump inverse
+    G = grid.n_steps
+    ts = np.arange(G + 1) * dt
+    # scales[k] and mids[k] are sigma at index k and half a step before it;
+    # no row has an index past K
+    K = min(G, na - 1)
+    ks = np.arange(K + 1) * dt
+    scales = np.exp(np.multiply.outer(ks, lam))
+    mids = np.exp(np.multiply.outer(ks - dt / 2.0, lam))
+
+    # conservative remap tables: the jump pull at sigma = 1 for the border
+    # sweeps, and per index k the jump pull of the loss density
+    # (targets sigma_k gamma^-1(m)) and the conversion to the m grid
+    # (targets sigma_k m)
     nodes_list = [grid.m_nodes(k) for k in range(d)]
     wm = [_trapz_weights(nodes) for nodes in nodes_list]
-    decay_tab, jump_tab = _remap_tables(spec, nodes_list, lam, dt)
+    pulls = _jump_pulls(spec, nodes_list)
+    jump_tab = [_remap_table(n, *p) for n, p in zip(nodes_list, pulls)]
+    border_tabs = [_stack_tables([_remap_table(n, s * tg, s * ds)
+                                  for s in scales[:, k]])
+                   for k, (n, (tg, ds)) in enumerate(zip(nodes_list, pulls))]
+    to_m_tabs = [_stack_tables([_remap_table(n, s * n, s) for s in scales[:, k]])
+                 for k, n in enumerate(nodes_list)]
 
-    mesh_mid = _m_mesh(grid, scale=[math.exp(l * dt / 2.0) for l in lam])
     a_mid = (a_nodes[1:] - dt / 2.0).reshape((na - 1,) + (1,) * d)
     # an age-free f is evaluated on one row, which broadcasts over the ages,
     # and a memory-free f on one memory node, which broadcasts over memory
     age_free = spec.f.age_free
-    A_f, a_mid_f = (A[:1], a_mid[:1]) if age_free else (A, a_mid)
-    m_one = (slice(0, 1),) * d if spec.f.memory_free else ()
-    mesh_f, mesh_mid_f = mesh[m_one], mesh_mid[m_one]
-
-    def f_grid(a_arr, m_arr, x):
-        return np.asarray(spec.intensity(a_arr, m_arr, x), dtype=float)
-
-    G = grid.n_steps
-    ts = np.arange(G + 1) * dt
+    m_one = (slice(0, 1),) * d
+    A_f = A[:1] if age_free else A
+    mesh_f = mesh[m_one] if spec.f.memory_free else mesh
     h = spec.h
-    kv = np.asarray(mdl.kernel_eval(h, ts), dtype=float)
-    gmod = np.asarray(mdl.modulation_eval(h, A, mesh), dtype=float)
-    gmod = np.broadcast_to(gmod, (na,) + shape_m)
 
+    def on_rows(fn, free_a, free_m, ages, sig, shift, n1, x):
+        """fn(a, mu / sigma, x) on the distinct rows at step n1, row r at the
+        ages' row r with sigma = sig[min(r + shift, n1)].  An age-free fn
+        needs the rows up to the first with index n1, which stands for all
+        after it, and a memory-free one a single memory node, so an age-free
+        and memory-free fn is one value.  _rows reads the result."""
+        n = ages.shape[0]
+        if free_a:
+            rows = 1 if free_m else min(n1 + 1 - shift, n)
+            ages = ages[:1]
+        else:
+            rows = n
+        m = mesh[m_one] if free_m else mesh
+        sc = sig[np.minimum(np.arange(rows) + shift, n1)]
+        return np.asarray(fn(ages, m / sc.reshape((rows,) + (1,) * d + (d,)), x),
+                          dtype=float)
+
+    def f_rows(ages, sig, shift, n1, x):
+        return on_rows(spec.intensity, age_free, spec.f.memory_free, ages, sig,
+                       shift, n1, x)
+
+    def g_rows(n1):
+        return on_rows(lambda a, m, x: mdl.modulation_eval(h, a, m), h.age_free,
+                       h.memory_free, A, scales, 0, n1, None)
+
+    def to_m(u, n, out):
+        """The m-grid density of the state u at step n, into out, in blocks
+        of rows: row 0, and at step 0 every row, has sigma = 1; rows 1 to
+        young - 1 have index = row, the others index n."""
+        if n == 0:
+            out[:] = u
+            return out
+        young = min(n, na)
+        out[0] = u[0]
+        for lo, hi in _row_blocks(1, young, blk_rows):
+            tabs = [_table_rows(t, slice(lo, hi)) for t in to_m_tabs]
+            out[lo:hi] = _pull(u[lo:hi], tabs, 1, _remap_rows)
+        tabs = [_table_rows(t, n) for t in to_m_tabs]
+        for lo, hi in _row_blocks(young, na, blk_rows):
+            out[lo:hi] = _pull(u[lo:hi], tabs, 1)
+        return out
+
+    kv = np.asarray(mdl.kernel_eval(h, ts), dtype=float)
     x = np.zeros(G + 1)
     x[0] = Hbar(0.0)
     w_hist = np.zeros(G + 1)
@@ -415,31 +547,32 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
     save_times = _step_save_times(save_times, ts)
     rhos = []
 
-    # every full-grid array of the march: the second density buffer, the loss
-    # density f rho, and per-row memory integrals of rho, f rho, g f rho and
-    # of the negative part the clip removes
-    new = np.empty_like(rho)
-    Fn = np.empty_like(rho)
+    # every full-grid array of the march: the second state buffer, the loss
+    # density f u, the m-grid density handed to a callback, and per-row
+    # memory integrals of u, f u, g f u and of the negative part the clip
+    # removes
+    new = np.empty_like(u)
+    Fn = np.empty_like(u)
+    rho_m = None if step_callback is None else np.empty_like(u)
     i_rho, i_flux, i_w, i_neg = np.zeros((4, na))
-    # blocks of rows 1 to na - 1, none of one row: numpy gathers the remap's
-    # cells of one row into a C-ordered array and those of more rows into an
-    # F-ordered one, and einsum sums the two layouts in different orders
-    rows = max(2, _BLOCK_ELEMS // rho[0].size)
-    starts = list(range(1, max(na - 1, 2), rows))
-    blocks = list(zip(starts, starts[1:] + [na]))
+    # blocks of rows 1 to na - 1; every sum of a step runs over one row or
+    # over all of them, so the blocks change no bit
+    blk_rows = max(2, _BLOCK_ELEMS // u[0].size)
+    blocks = _row_blocks(1, na, blk_rows)
 
-    def tally(cur, Fc, lo, hi):
-        """Loss density and row integrals of cur[lo:hi]; True if one is < 0."""
+    def tally(cur, F, g, lo, hi):
+        """Loss density and memory integrals of cur[lo:hi]; True if one is < 0."""
         blk = cur[lo:hi]
-        fb = np.multiply(Fc if age_free else Fc[lo:hi], blk, out=Fn[lo:hi])
+        fb = np.multiply(_rows(F, lo, hi), blk, out=Fn[lo:hi])
         i_rho[lo:hi] = _m_trapz(blk, wm)
         i_flux[lo:hi] = _m_trapz(fb, wm)
         if h.J != 0.0:
-            i_w[lo:hi] = _m_trapz(gmod[lo:hi] * fb, wm)
+            i_w[lo:hi] = _m_trapz(_rows(g, lo, hi) * fb, wm)
         return bool((blk < 0.0).any())
 
-    F = f_grid(A_f, mesh_f, x[0])
-    tally(rho, F, 0, na)
+    F = f_rows(A, scales, 0, 0, x[0])
+    g = g_rows(0) if h.J != 0.0 else None
+    tally(u, F, g, 0, na)
     for n in range(G + 1):
         t_n = ts[n]
         fluxint = float(_dot_last(i_flux, wa))
@@ -448,53 +581,65 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
         mass_trace[n] = float(_dot_last(i_rho, wa))
         if n > 0 and fluxint > 1e-300:
             flux_rel[n] = abs(i_rho[0] - fluxint) / fluxint
-        borders[n] = rho[0]
-        for t_s in save_times:
-            if abs(t_s - t_n) < 1e-9:
-                rhos.append(rho.copy())
+        borders[n] = u[0]
+        saves = sum(abs(t_s - t_n) < 1e-9 for t_s in save_times)
         if step_callback is not None:
-            step_callback(n, t_n, rho, x[n], np.broadcast_to(F, rho.shape))
+            to_m(u, n, rho_m)
+            rhos += [rho_m.copy() for _ in range(saves)]
+            F_m = np.asarray(spec.intensity(A_f, mesh_f, x[n]), dtype=float)
+            step_callback(n, t_n, rho_m, x[n], np.broadcast_to(F_m, rho_m.shape))
+        elif saves:
+            rhos += [to_m(u, n, np.empty_like(u)) for _ in range(saves)]
         if n == G:
             break
+        n1 = n + 1
 
         # explicit Volterra update for the signal
-        x_next = Hbar(ts[n + 1])
+        x_next = Hbar(ts[n1])
         if h.J != 0.0:
             x_next += dt * h.J * float(_dot_last(kv[1:n + 2][::-1], w_hist[:n + 1]))
         x_mid = 0.5 * (x[n] + x_next)
 
-        # transport with survival attenuation, block by block: row i of the
-        # new density is row i - 1 of rho pulled along the decay flow (the
-        # remap carries its volume factor) times exp(-dt f) at the midpoint
-        Fm = f_grid(a_mid_f, mesh_mid_f, x_mid)
-        F1 = f_grid(A_f, mesh_f, x_next)
-        surv = np.exp(-dt * Fm) if age_free else None
+        # transport, block by block: row i of the new state is row i - 1 of
+        # u times exp(-dt f) at the midpoint of its characteristic
+        surv = np.exp(-dt * f_rows(a_mid, mids, 1, n1, x_mid))
+        F = f_rows(A, scales, 0, n1, x_next)
+        if h.J != 0.0:
+            g = g_rows(n1)
         neg = []
         for lo, hi in blocks:
-            sh = _pull(rho[lo - 1:hi - 1], decay_tab, 1)
-            np.multiply(sh, surv if age_free else np.exp(-dt * Fm[lo - 1:hi - 1]),
+            np.multiply(_rows(surv, lo - 1, hi - 1), u[lo - 1:hi - 1],
                         out=new[lo:hi])
-            if tally(new, F1, lo, hi):
+            if tally(new, F, g, lo, hi):
                 neg.append((lo, hi))
         # row 0 is empty until the border layer fills it
         Fn[0] = 0.0
         i_rho[0] = 0.0
 
-        # border layer at the new time, fixed-point sweeps for the
-        # self-referential age-zero node
-        fixed = _border(Fn, wa, jump_tab)
+        # border layer at the new time: rows 1 to young - 1 each through the
+        # table of their index, the age integral of the rest through that
+        # of n1; then fixed-point sweeps for the self-referential age-zero
+        # node
+        young = min(n1, na)
+        src, w = Fn[1:], wa[1:]
+        if young < na:
+            src = np.concatenate([Fn[1:young],
+                                  np.einsum("i,i...->...", wa[young:], Fn[young:])[None]])
+            w = np.concatenate([wa[1:young], [1.0]])
+        tabs = [_table_rows(t, slice(1, src.shape[0] + 1)) for t in border_tabs]
+        fixed = np.einsum("i,i...->...", w, _pull(src, tabs, 1, _remap_rows))
         b = fixed
         for _ in range(border_sweeps):
-            b = fixed + wa[0] * _pull(F1[0] * b, jump_tab, 0)
+            b = fixed + wa[0] * _pull(F[0] * b, jump_tab, 0)
         # the injected layer balances the survival loss analytically, so it
         # enters unscaled; the implied correction factor is kept as a
         # mass-conservation diagnostic only
         Mint = float(_dot_last(i_rho, wa))
         layer = wa[0] * lm_mass(b, nodes_list)
         if layer > 1e-300:
-            scale_trace[n + 1] = (mass_trace[n] - Mint) / layer
+            scale_trace[n1] = (mass_trace[n] - Mint) / layer
         new[0] = b
-        if tally(new, F1, 0, 1):
+        if tally(new, F, g, 0, 1):
             neg.append((0, 1))
         # negative nodes are set to zero; clip_mass adds up the trapezoid
         # mass of what they held
@@ -502,13 +647,12 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
             blk = new[lo:hi]
             i_neg[lo:hi] = _m_trapz(np.minimum(blk, 0.0), wm)
             blk[blk < 0.0] = 0.0
-            tally(new, F1, lo, hi)
+            tally(new, F, g, lo, hi)
         if neg:
             clip_mass -= float(_dot_last(i_neg, wa))
             i_neg[:] = 0.0
-        rho, new = new, rho
-        x[n + 1] = x_next
-        F = F1    # f at x[n + 1], the intensity of the next step
+        u, new = new, u
+        x[n1] = x_next
 
     return DensitySolution(grid, save_times, rhos, XPath(ts, x),
                            mass_trace, flux_rel, scale_trace, clip_mass, borders)

@@ -276,9 +276,10 @@ def test_criterion_09_cross_route_signal(acceptance_log):
 
 
 def test_criterion_10_weak_form_residuals(acceptance_log):
-    # the residual picks up the per-step smoothing of the conservative remap,
-    # so the memory grid must be fine relative to the step count; these
-    # resolutions keep every residual below half the tolerance
+    # the residual is taken on m-grid densities, each converted from the
+    # march's cohort coordinates by one conservative remap, so it sees that
+    # remap's smoothing at every step; these resolutions keep every residual
+    # below half the tolerance
     grids = {
         "adaptation-1d": pde.Grid(a_max=15.0, n_a=750, m_lo=(-3.5,),
                                   m_hi=(0.5,), n_m=(3200,), T=5.0, dt=0.02),

@@ -339,13 +339,13 @@ def test_main_argv_roundtrip(tmp_path):
 # sha256 of every artifact of each golden config but the manifest, which
 # records the wall time of the run
 GOLDEN_SHA256 = {
-    "converge/convergence.csv": "f6d2ee9f6abb75a8726f04f3a309b7235438b2b25c5354a213a0736bc1bfb30a",
-    "converge/convergence.json": "f12bacf6ad9e84967aebe0aae8b2abd758cb42b4e21b3787d3f50a657e5bad66",
-    "couple/coupling.csv": "df4f942af0fad8317f9b47e7515a1f1884d495a0ad2c30bf1f2ac5fd13a131c9",
-    "couple/coupling.json": "459bb290c3be78890206faf29ebe1cda0ed5536e824d706d50df3428a7345b79",
-    "pde/density.csv": "01425e91d3c94f1d4f1a3ffcebe4f11355c46e2bb1fd1aec9b6adc7b4807fc4a",
-    "pde/diagnostics.json": "4df03998eaa1d4f2beea429e6fd9c4699a4d133b7ecb0e459bbf1eba4c0abdb6",
-    "pde/xpath.csv": "49f33eac188800d259ae56a4f8cbcbd2f1fdd324e8507a58ef6d0c8947496c9e",
+    "converge/convergence.csv": "608801147b83903a2711f55ba5ec9e78aa150049dc14fffc651bb7733c8027da",
+    "converge/convergence.json": "a21a26d3dd22ac61396a85925465e4f0f4540512fbf9ccb35f7cfea598392834",
+    "couple/coupling.csv": "6376361eae8c8260d6028fe1b2d1099bb69830c00bdd0d024134af2a7758901e",
+    "couple/coupling.json": "b40bd2675e377dc256d64cc84c39412104537dc441ff4e80aa2640ce9cebdcac",
+    "pde/density.csv": "ab765a225dfe4b53bdfa17e0b32212d818238cf6c0d0c09fcd87922719c58d92",
+    "pde/diagnostics.json": "d90afe8c3a0a8ac9b8004284272ced81222c31c421d8fa804a66106d4d6b5892",
+    "pde/xpath.csv": "46f7684bfe0351805892410573f4a9a342beabdb0ed2cbb6c08176ca00cda754",
     "simulate/events.csv": "2b7954b64f8808c7cd91215c096e48d1b43c9549203308cd29bdcfb7b8dec784",
     "simulate/run.json": "bddf326d8940db1bd480b569ea9af77dc25831477349bac0caafb8ff7619e76d",
     "simulate/snapshots.csv": "ca86f8969e796e6ce9cff507a05f8e57fe07ff78d700eda18e2ce423d12f43ae",

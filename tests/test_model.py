@@ -43,6 +43,18 @@ def test_psi_rejects_negative_age():
         mdl.psi_eval(-0.1, mdl.PsiParams())
 
 
+def test_scalar_psi_same_bits_as_psi_eval(rng):
+    ages = np.concatenate([[0.0, 1e-300, 1e-9, 0.5, 7.0, 1e4],
+                           rng.exponential(2.0, 200)])
+    for K, kappa in [(1.0, 1.0), (1.7, 0.9), (0.2, 7.0)]:
+        p = mdl.PsiParams(K=K, kappa=kappa)
+        psi = mdl.scalar_psi(p)
+        for a in ages:
+            want = mdl.psi_eval(a, p)
+            for arg in (float(a), np.float64(a)):
+                assert np.float64(psi(arg)).tobytes() == want.tobytes()
+
+
 def test_psi_prime_identity_on_random_pairs(rng):
     # |psi'(a) - psi'(a*)| = (kappa / K) |psi(a) - psi(a*)| exactly
     p = mdl.PsiParams(K=1.7, kappa=0.9)
@@ -356,12 +368,45 @@ def test_kernel_values():
     assert mdl.kernel_eval(hb, 0.0) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("kernel", ["exponential", "erlang",
+                                    "finite-support-smooth"])
+def test_scalar_kernel_same_bits_as_kernel_eval(kernel, rng):
+    for tau in (0.3, 0.5, 1.0, 2.7):
+        h = mdl.InteractionSpec(kernel=kernel, tau=tau, J=1.0)
+        kern = mdl.scalar_kernel(h)
+        # below zero, at zero, across the support and up to tau from below
+        near = [tau - tau * 2.0 ** -k for k in (1, 4, 10, 20, 30, 40, 52)]
+        lags = ([-1.0, -1e-12, -0.0, 0.0, 5e-324, 1e-12, tau, 2.0 * tau, 1e3]
+                + near + [np.nextafter(tau, 0.0)]
+                + list(rng.uniform(0.0, 1.5 * tau, 50)))
+        for lag in lags:
+            want = float(mdl.kernel_eval(h, np.float64(lag)))
+            for arg in (float(lag), np.float64(lag)):
+                got = kern(arg)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_modulation_linear_in_m():
     h = mdl.InteractionSpec(kernel="exponential", tau=1.0, J=2.0,
                             modulation="linear-in-m",
                             mod_intercept=1.0, mod_slope=-1.0)
     val = mdl.interaction_eval(h, 0.0, 0.0, np.array([0.25]))
     assert abs(val - 2.0 * 0.75) < 1e-14
+
+
+def test_modulation_free_predicates_match_modulation_eval(rng):
+    # age_free and memory_free hold exactly when modulation_eval ignores age
+    # or memory
+    a = rng.uniform(0.0, 5.0, (6, 1))
+    m = rng.normal(0.0, 1.0, (1, 7, 2))
+    for h in [mdl.InteractionSpec(modulation="none"),
+              mdl.InteractionSpec(modulation="linear-in-m", mod_slope=0.4),
+              mdl.InteractionSpec(modulation="custom-bounded",
+                                  mod_fn=lambda a, m: np.tanh(a + m[..., 1]))]:
+        g = np.broadcast_to(mdl.modulation_eval(h, a, m), (6, 7))
+        assert h.age_free == bool(np.all(g == g[:1]))
+        assert h.memory_free == bool(np.all(g == g[:, :1]))
 
 
 def test_kernel_horizon_bounds_tail():
@@ -421,6 +466,24 @@ def test_custom_jump_fd_jacobian_matches_analytic():
     inv = mdl.jump_inverse(j, pts)
     analytic = -np.log(1.0 - 0.5 / np.cosh(inv[:, 0]) ** 2)
     assert np.max(np.abs(fd - analytic)) < 1e-6
+
+
+def test_custom_jump_fd_step_is_per_point():
+    # the finite-difference step of one point does not depend on the other
+    # points of the batch, and points with |m| <= 1 keep the step 1e-6
+    j = mdl.JumpSpec(family="custom", fn=lambda m: 0.5 * np.sinh(m) - 0.3,
+                     fn_inv=lambda m: np.arcsinh(2.0 * (m + 0.3)))
+    alone = mdl.jump_inverse_jacobian_logdet(j, np.array([[-0.45]]))
+    batch = mdl.jump_inverse_jacobian_logdet(j, np.array([[-0.45], [40.0]]))
+    assert batch[0] == alone[0]
+    exact = -0.5 * math.log(1.0 + (2.0 * (-0.45 + 0.3)) ** 2) + math.log(2.0)
+    assert abs(alone[0] - exact) < 1e-9
+    m = np.linspace(-1.0, 1.0, 7)[:, None]
+    eps = 1e-6
+    inv = lambda v: mdl.jump_inverse(j, v)[:, 0]
+    fd = (inv(m + eps) - inv(m - eps)) / (2 * eps)
+    assert mdl.jump_inverse_jacobian_logdet(j, m).tobytes() == \
+        np.log(np.abs(fd)).tobytes()
 
 
 def test_affine_default_offset_same_bits_as_explicit():
@@ -504,6 +567,7 @@ _INTENSITY = ("f", "IntensitySpec",
               {"family", "c_a", "c_m", "c_x", "b", "psi_amp", "psi_rate"})
 _MODULATION = ("h", "InteractionSpec",
                {"modulation", "mod_intercept", "mod_slope", "mod_fn"})
+_PSI = ("psi", "PsiParams", {"K", "kappa"})
 
 
 def test_only_model_reads_jump_families():
@@ -531,6 +595,16 @@ def test_only_model_reads_modulation_families():
         "    return spec.h.modulation + h.mod_slope + hs.mod_fn + h.J\n",
         *_MODULATION)) == ["3: h.mod_slope", "3: hs.mod_fn", "3: spec.h.modulation"]
     assert not _reads_outside_model(*_MODULATION)
+
+
+def test_only_model_reads_psi_params():
+    # outside model.py, the age transform goes through psi_eval and
+    # scalar_psi
+    assert sorted(_field_reads(
+        "def g(spec, ps: mdl.PsiParams):\n    p = spec.psi\n"
+        "    return spec.psi.K + p.kappa + ps.K + p.other\n", *_PSI)) == [
+            "3: p.kappa", "3: ps.K", "3: spec.psi.K"]
+    assert not _reads_outside_model(*_PSI)
 
 
 @given(alpha=st.floats(0.01, 0.99), m=st.floats(-5.0, 5.0))

@@ -115,7 +115,27 @@ def test_near_pure_transport_is_pushforward():
     exact = (spec.init_law.density_age(A - T)
              * (spec.init_law.density_mem((math.e ** T * mn)[:, None])
                 * math.e ** T)[None, :])
-    assert _l1(g, sol.rho_at(T), exact) < 8e-2
+    # rows born before t = 0 move without a memory remap, so the one
+    # conversion to the m grid at T is the only smoothing
+    assert _l1(g, sol.rho_at(T), exact) < 2.61e-2
+
+
+def test_near_pure_transport_is_pushforward_d2():
+    # the same check in d = 2, with smooth laws on _d2_spec's grid
+    spec = dataclasses.replace(
+        _d2_spec(), f=mdl.IntensitySpec(family="constant", f_min=1e-6, f_max=1e-6),
+        init_law=mdl.InitialLaw(age=("uniform", 0.5, 2.0),
+                                mem=(("truncnorm", -0.5, 0.3, -1.5, 0.5),
+                                     ("truncnorm", 0.4, 0.2, -0.5, 1.0))))
+    T = 1.0
+    g = _d2_grid(T)
+    sol = pde.solve_alm_pde(spec, g, save_times=(T,))
+    assert float(np.abs(sol.mass_trace - 1.0).max()) < 1e-7
+    s = np.exp(spec.lam * T)
+    exact = (spec.init_law.density_age(g.a_nodes[:, None, None] - T)
+             * (spec.init_law.density_mem(pde._m_mesh(g) * s) * np.prod(s))[None])
+    w = np.einsum("i,j,k->ijk", _w(g.a_nodes), _w(g.m_nodes(0)), _w(g.m_nodes(1)))
+    assert float(np.sum(w * np.abs(sol.rho_at(T) - exact))) < 1.68e-1
 
 
 def test_nonnegativity_and_lemma_a1_bound():
@@ -234,31 +254,66 @@ def test_d2_jump_tables_match_model_inverse(jump):
                                rtol=1e-12, atol=1e-14)
 
 
+def _mu_states(spec, g, sol, steps, u0=None):
+    """The march's states in mu units after steps 1 to steps, rebuilt from
+    its definition.  Row i at step n holds its density in mu = sigma m with
+    sigma = exp(dt Lambda min(i, n)); a step shifts the rows by one and
+    multiplies them by exp(-dt f) at the midpoint of the characteristic,
+    f at m = mu / sigma.  Each row's loss density f u goes to the border
+    through the jump pull with targets sigma gamma^-1(m), rows i >= n as one
+    age integral.  Row 0 is taken from sol.borders, and negative nodes are
+    clipped.  Yields (n, u_n, f u_n, the border from f u_n with no sweeps)."""
+    dt, na, d = g.dt, g.a_nodes.size, g.d
+    A = g.a_nodes.reshape((na,) + (1,) * d)
+    mesh = pde._m_mesh(g)
+    x = sol.x.values
+    u = (spec.init_law.density_age(A) * spec.init_law.density_mem(mesh)
+         if u0 is None else np.broadcast_to(u0(A, mesh), (na,) + mesh.shape[:-1]))
+    u = u / pde.mass(u, g)
+    wa = _w(g.a_nodes)
+    nodes = [g.m_nodes(k) for k in range(d)]
+    pulls = pde._jump_pulls(spec, nodes)
+
+    def f(ages, k, x_t, back=0.0):
+        sig = np.exp(np.multiply.outer(k * dt - back, spec.lam))
+        return spec.intensity(ages, mesh / sig.reshape(k.shape + (1,) * d + (d,)), x_t)
+
+    for n in range(1, steps + 1):
+        k = np.minimum(np.arange(na), n)
+        new = np.zeros_like(u)
+        new[1:] = u[:-1] * np.exp(-dt * f(A[1:] - dt / 2.0, k[1:],
+                                          0.5 * (x[n - 1] + x[n]), dt / 2.0))
+        F = f(A, k, x[n])
+        b = 0.0
+        for i in range(1, n + 1):
+            rows = slice(i, i + 1) if i < n else slice(n, None)
+            sig = np.exp(i * dt * spec.lam)
+            tabs = [pde._remap_table(nd, s * tg, s * ds)
+                    for nd, (tg, ds), s in zip(nodes, pulls, sig)]
+            b = b + pde._border(F[rows] * new[rows], wa[rows], tabs)
+        new[0] = sol.borders[n]
+        new[new < 0.0] = 0.0
+        yield n, new, F * new, b
+        u = new
+
+
 @pytest.mark.parametrize("case", ["adaptation-1d", "stp", "d2"])
 def test_border_step_matches_march_border(case):
-    # the march and border_step share one border helper: with no fixed-point
-    # sweeps, the age-zero row after step 1 is border_step of that step's
-    # density with the row zeroed, at x[1]
+    # with no fixed-point sweeps, the age-zero row after each step is
+    # border_step's helper _border on the state in mu units: one call per
+    # young row with the table of its index, one for the rows i >= n
     if case == "d2":
-        spec, g = _d2_spec(), _d2_grid(T=0.1)
+        spec, g = _d2_spec(), _d2_grid(T=0.3)
     else:
         spec = presets.preset(case)
         dg = presets.default_grid(case)
         g = pde.Grid(a_max=dg.a_max, n_a=300, m_lo=dg.m_lo, m_hi=dg.m_hi,
-                     n_m=(80,), T=0.05, dt=0.05)
-    seen = {}
-
-    def cb(n, t, rho, x_t, F):
-        if n == 1:
-            seen["rho"], seen["x"] = rho.copy(), x_t
-
-    pde.solve_alm_pde(spec, g, step_callback=cb, border_sweeps=0)
-    rho1 = seen["rho"]
-    row = rho1[0].copy()
-    rho1[0] = 0.0
-    b = pde.border_step(spec, g, rho1, seen["x"])
-    assert row.max() > 0.0
-    assert np.abs(b - row).max() <= 1e-14 * np.abs(row).max()
+                     n_m=(80,), T=0.15, dt=0.05)
+    sol = pde.solve_alm_pde(spec, g, border_sweeps=0)
+    for n, _, _, b in _mu_states(spec, g, sol, 3):
+        row = sol.borders[n]
+        assert row.max() > 0.0
+        assert np.abs(b - row).max() <= 1e-14 * np.abs(row).max()
 
 
 _BLAS_PROBE = """
@@ -337,14 +392,14 @@ def _block_case(case):
 @pytest.mark.parametrize("case", list(presets.PRESET_NAMES) + [
     "d2", "custom-jump", "clip", "no-sweeps"])
 def test_solution_bits_independent_of_block_size(case, monkeypatch):
-    # every sum of the march runs over one age row or over all of them, so
-    # the row blocks change no bit: the smallest block (two rows), a middle
-    # one that does not divide the rows, and one block for the whole grid
+    # every sum of a step runs over one age row or over all of them, so the
+    # row blocks change no bit: the smallest block (two rows), a size that
+    # does not divide the rows, and one block for the whole grid.  The
+    # m-grid conversion for the callback changes none either
     spec, grid, kw = _block_case(case)
     row = int(np.prod([n + 1 for n in grid.n_m]))
-    m_nodes = [grid.m_nodes(k) for k in range(grid.d)]
     digests = []
-    for elems in (1, 3 * row + 1, 1 << 40):
+    for elems, callback in ((1, True), (3 * row + 1, False), (1 << 40, True)):
         monkeypatch.setattr(pde, "_BLOCK_ELEMS", elems)
         seen = []
 
@@ -354,23 +409,36 @@ def test_solution_bits_independent_of_block_size(case, monkeypatch):
                 assert F.strides[0] == 0    # evaluated on one row
             if spec.f.memory_free:          # evaluated on one memory node
                 assert not any(F.strides[1:])
-            flux = pde.mass(F * rho, grid)
-            seen.append((pde.mass(rho, grid),
-                         abs(pde.lm_mass(rho[0], m_nodes) - flux) / flux))
+            seen.append(pde.mass(rho, grid))
 
         sol = pde.solve_alm_pde(spec, grid, save_times=[grid.T],
-                                step_callback=cb, **kw)
-        # the traces built from the row integrals are those of the whole
-        # density the callback saw, clipped rows included
-        mass, flux_rel = np.array(seen).T
-        assert np.array_equal(sol.mass_trace, mass)
-        assert np.array_equal(sol.flux_rel[1:], flux_rel[1:])
+                                step_callback=cb if callback else None, **kw)
         arrs = [sol.rho_at(grid.T), sol.x.values, sol.mass_trace,
                 sol.flux_rel, sol.scale_trace, sol.borders]
         digests.append([hashlib.sha256(a.tobytes()).hexdigest() for a in arrs]
                        + [sol.clip_mass])
+        # the m-grid densities the callback sees hold the mass of the state
+        assert len(seen) == (grid.n_steps + 1 if callback else 0)
+        if callback:
+            assert np.allclose(seen, sol.mass_trace, rtol=5e-4, atol=0.0)
     assert digests[0] == digests[1] == digests[2]
     assert (sol.clip_mass > 0.0) == (case == "clip")
+    # the traces are the trapezoid integrals of the state in mu units, clipped
+    # rows included
+    wm = [_w(grid.m_nodes(k)) for k in range(grid.d)]
+
+    def m_int(arr):
+        for w in reversed(wm):
+            arr = arr @ w
+        return arr
+
+    for n, u, Fu, _ in _mu_states(spec, grid, sol, min(grid.n_steps, 4),
+                                  kw.get("u0")):
+        mass = float(_w(grid.a_nodes) @ m_int(u))
+        flux = float(_w(grid.a_nodes) @ m_int(Fu))
+        assert sol.mass_trace[n] == pytest.approx(mass, rel=1e-13, abs=0.0)
+        assert sol.flux_rel[n] == pytest.approx(abs(m_int(u[0]) - flux) / flux,
+                                                rel=1e-8, abs=1e-15)
 
 
 def test_clip_mass_is_a_trapezoid_mass():
