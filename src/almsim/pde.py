@@ -94,8 +94,10 @@ class _RemapTable:
         6s(1-s) m[i] + (1-s)(1-3s) d[i] + s(3s-2) d[i+1]
     in the cell slope m[i] and the node slopes d[i], d[i+1].  The three
     weights carry |dslope| and are zero for targets outside the box.  ends
-    holds the cells and cubic-value weights of the lowest and highest
-    in-box targets, or None when no target is inside.
+    holds the cells and cubic-value weights of the two mass ends, the lowest
+    and highest in-box targets (see _remap_table), or None when no target is
+    inside.  fill is one on the in-box targets and zero elsewhere, scaled to
+    unit trapezoid mass, or zero when no target is inside.
     """
     h: float
     idx: np.ndarray
@@ -104,10 +106,19 @@ class _RemapTable:
     w_1: np.ndarray
     trapz: np.ndarray
     ends: tuple
+    fill: np.ndarray
 
 
-def _remap_table(nodes, targets, dslope):
-    """Weights of _mass_remap for one axis; nodes must be uniformly spaced."""
+def _remap_table(nodes, targets, dslope, edge_cells=False):
+    """Weights of _mass_remap for one axis; nodes must be uniformly spaced.
+
+    The remap keeps the source mass between its two mass ends.  These are
+    the outermost in-box targets, or with edge_cells the outermost targets
+    clipped to the box, which also keeps the source cells past the last
+    in-box target.  A pull whose targets lie many source cells apart needs
+    edge_cells: otherwise up to one target spacing of mass at each box edge
+    is lost.
+    """
     nodes = np.asarray(nodes, dtype=float)
     # the first cell's width, as in _trapz_weights, so that the remap and the
     # trapezoid masses agree; the others may differ from it by the rounding
@@ -125,19 +136,23 @@ def _remap_table(nodes, targets, dslope):
     # the cell end, where the Hermite weights lose their sign pattern
     s = np.clip((tc - nodes[idx]) / h, 0.0, 1.0)
     scale = np.abs(dslope) * inside
+    trapz = _trapz_weights(nodes)
     ends = None
+    fill = np.zeros(t.shape)
     if inside.any():
-        ti = tc[inside]
+        keep = slice(None) if edge_cells else inside
+        ti = tc[keep]
         sel = [np.argmin(ti), np.argmax(ti)]
-        i, u = idx[inside][sel], s[inside][sel]
+        i, u = idx[keep][sel], s[keep][sel]
         sign = np.array([-1.0, 1.0])
         # Hermite basis at u: values of y[i], y[i+1] and h*d[i], h*d[i+1]
         wy = sign * np.stack([(1 - u) ** 2 * (1 + 2 * u), u * u * (3 - 2 * u)])
         wd = sign * h * np.stack([u * (1 - u) ** 2, -u * u * (1 - u)])
         ends = (np.concatenate([i, i + 1]), wy.ravel(), wd.ravel())
+        fill = inside / float(trapz @ inside)
     return _RemapTable(h, idx, 6 * s * (1 - s) * scale,
                        (1 - s) * (1 - 3 * s) * scale, s * (3 * s - 2) * scale,
-                       _trapz_weights(nodes), ends)
+                       trapz, ends, fill)
 
 
 def _edge_slope(m0, m1):
@@ -182,14 +197,20 @@ def _cum_slopes(a, h):
     return cum, mk, _pchip_slopes(mk)
 
 
-def _match_mass(vals, exact, trapz):
+def _match_mass(vals, exact, trapz, fill):
     """Rescales every slice of vals so its trapezoid integral matches the exact
     mapped mass C(t_hi) - C(t_lo); the pointwise derivative samples alone are
-    only second-order consistent with it."""
+    only second-order consistent with it.  A slice whose samples integrate
+    to zero while its exact mass does not, as when all of that mass lies
+    between targets many cells apart, gets the mass spread evenly over the
+    in-box targets (fill)."""
     den = _dot_last(vals, trapz)
-    ratio = np.divide(exact, den, out=np.ones_like(den),
-                      where=np.abs(den) > 1e-300)
+    live = np.abs(den) > 1e-300
+    ratio = np.divide(exact, den, out=np.ones_like(den), where=live)
     vals *= ratio[..., None]
+    lost = ~live & (exact != 0.0)
+    if lost.any():
+        np.add(vals, exact[..., None] * fill, out=vals, where=lost[..., None])
 
 
 def _mass_remap(arr, tab: _RemapTable, axis):
@@ -217,7 +238,7 @@ def _mass_remap(arr, tab: _RemapTable, axis):
     if tab.ends is not None:
         ie, wy, wd = tab.ends
         _match_mass(vals, _dot_last(cum[..., ie], wy) + _dot_last(d[..., ie], wd),
-                    tab.trapz)
+                    tab.trapz, tab.fill)
     return np.moveaxis(vals, -1, axis)
 
 
@@ -230,14 +251,16 @@ def _stack_tables(tabs):
     fields = [np.stack([getattr(t, f) for t in tabs])
               for f in ("idx", "w_m", "w_0", "w_1")]
     return _RemapTable(tabs[0].h, *fields, tabs[0].trapz,
-                       tuple(np.stack(e) for e in zip(*ends)))
+                       tuple(np.stack(e) for e in zip(*ends)),
+                       np.stack([t.fill for t in tabs]))
 
 
 def _table_rows(tab, key):
     """Rows key of a stacked table: a slice gives a stacked table, an index
     one table for _mass_remap."""
     return _RemapTable(tab.h, tab.idx[key], tab.w_m[key], tab.w_0[key],
-                       tab.w_1[key], tab.trapz, tuple(e[key] for e in tab.ends))
+                       tab.w_1[key], tab.trapz, tuple(e[key] for e in tab.ends),
+                       tab.fill[key])
 
 
 def _remap_rows(arr, tab: _RemapTable, axis):
@@ -246,12 +269,16 @@ def _remap_rows(arr, tab: _RemapTable, axis):
     a = np.moveaxis(np.asarray(arr, dtype=float), axis, -1)
     cum, mk, d = _cum_slopes(a, tab.h)
     lead = (a.shape[0],) + (1,) * (a.ndim - 2)
+    starts = np.arange(a[..., 0].size).reshape(a.shape[:-1] + (1,))
 
     def per_row(w):
         return w.reshape(lead + w.shape[-1:])
 
     def take(v, i):
-        return np.take_along_axis(v, per_row(i), axis=-1)
+        # v[..., i] with the indices of row r for leading index r, as one
+        # gather on the flat v, which is three times faster than
+        # np.take_along_axis
+        return np.take(v, starts * v.shape[-1] + per_row(i))
 
     i = tab.idx
     vals = (per_row(tab.w_m) * take(mk, i) + per_row(tab.w_0) * take(d, i)
@@ -259,7 +286,7 @@ def _remap_rows(arr, tab: _RemapTable, axis):
     ie, wy, wd = tab.ends
     exact = (np.einsum("...i,...i->...", take(cum, ie), per_row(wy))
              + np.einsum("...i,...i->...", take(d, ie), per_row(wd)))
-    _match_mass(vals, exact, tab.trapz)
+    _match_mass(vals, exact, tab.trapz, per_row(tab.fill))
     return np.moveaxis(vals, -1, axis)
 
 
@@ -345,15 +372,10 @@ def _jump_pulls(spec, nodes_list):
     raise NotImplementedError("custom jumps on grids need d = 1")
 
 
-def _remap_tables(spec, nodes_list, lam, dt):
-    """Per-axis remap tables for the decay pull, whose dslope factors give
-    the volume factor exp(dt tr Lambda), and for the jump pull."""
-    decay = []
-    for nodes, l in zip(nodes_list, lam):
-        s = math.exp(l * dt)
-        decay.append(_remap_table(nodes, nodes * s, s))
-    return decay, [_remap_table(n, *p)
-                   for n, p in zip(nodes_list, _jump_pulls(spec, nodes_list))]
+def _jump_tables(spec, nodes_list):
+    """Per-axis remap tables of the jump pull on the memory nodes."""
+    return [_remap_table(n, *p)
+            for n, p in zip(nodes_list, _jump_pulls(spec, nodes_list))]
 
 
 def _pull(arr, table, m_axis0, remap=_mass_remap):
@@ -419,13 +441,19 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
     scale of step n: their loss density is integrated over age and pulled
     through one table with targets sigma_n gamma^-1(m).  Each younger row
     has its own table, built once per solve, and one call pulls them all.
-    Row 0 has sigma = 1 and is the border layer itself.
+    Row 0 has sigma = 1 and is the border layer itself.  The young rows
+    make the work of step n grow with min(n, n_a): f, when it depends on
+    memory, and the border pull run on each of them.  A step is cheapest
+    while t is well below a_max, and past a_max it pulls the whole grid.
 
     rho_at, borders and what step_callback receives are m-grid densities:
     each row with sigma > 1 is converted by one conservative remap with
     targets sigma m.  That costs about one full-grid remap per conversion;
     it is paid at the save times, and at every step when a callback is
-    given.
+    given.  The targets of a row lie sigma cells apart, so the conversion
+    and border tables keep the mass past the outermost in-box targets (see
+    _remap_table and _match_mass): an m-grid row holds the mass of its mu
+    row whenever one of its targets is inside the box.
 
     step_callback(n, t_n, rho, x_n, F) gets rho_n on the m grid and f at
     (t_n, x_n) on the m grid, F as a read-only view of the shape of rho.
@@ -473,15 +501,17 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
     # conservative remap tables: the jump pull at sigma = 1 for the border
     # sweeps, and per index k the jump pull of the loss density
     # (targets sigma_k gamma^-1(m)) and the conversion to the m grid
-    # (targets sigma_k m)
+    # (targets sigma_k m).  The targets of index k lie sigma_k cells apart,
+    # so these tables keep the mass of the cells at the box edges
     nodes_list = [grid.m_nodes(k) for k in range(d)]
     wm = [_trapz_weights(nodes) for nodes in nodes_list]
     pulls = _jump_pulls(spec, nodes_list)
     jump_tab = [_remap_table(n, *p) for n, p in zip(nodes_list, pulls)]
-    border_tabs = [_stack_tables([_remap_table(n, s * tg, s * ds)
+    border_tabs = [_stack_tables([_remap_table(n, s * tg, s * ds, True)
                                   for s in scales[:, k]])
                    for k, (n, (tg, ds)) in enumerate(zip(nodes_list, pulls))]
-    to_m_tabs = [_stack_tables([_remap_table(n, s * n, s) for s in scales[:, k]])
+    to_m_tabs = [_stack_tables([_remap_table(n, s * n, s, True)
+                                for s in scales[:, k]])
                  for k, n in enumerate(nodes_list)]
 
     a_mid = (a_nodes[1:] - dt / 2.0).reshape((na - 1,) + (1,) * d)
@@ -498,17 +528,22 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
         ages' row r with sigma = sig[min(r + shift, n1)].  An age-free fn
         needs the rows up to the first with index n1, which stands for all
         after it, and a memory-free one a single memory node, so an age-free
-        and memory-free fn is one value.  _rows reads the result."""
+        and memory-free fn is one value.  _rows reads the result.  fn runs
+        on blocks of rows, whose temporaries stay in cache: on a full
+        default grid that halves its time, and fn acts on each node alone,
+        so the blocks change no bit."""
         n = ages.shape[0]
         if free_a:
             rows = 1 if free_m else min(n1 + 1 - shift, n)
-            ages = ages[:1]
         else:
             rows = n
         m = mesh[m_one] if free_m else mesh
         sc = sig[np.minimum(np.arange(rows) + shift, n1)]
-        return np.asarray(fn(ages, m / sc.reshape((rows,) + (1,) * d + (d,)), x),
-                          dtype=float)
+        sc = sc.reshape((rows,) + (1,) * d + (d,))
+        out = np.empty((rows,) + m.shape[:-1])
+        for lo, hi in _row_blocks(0, rows, max(2, _BLOCK_ELEMS // m[..., 0].size)):
+            out[lo:hi] = fn(ages[:1] if free_a else ages[lo:hi], m / sc[lo:hi], x)
+        return out
 
     def f_rows(ages, sig, shift, n1, x):
         return on_rows(spec.intensity, age_free, spec.f.memory_free, ages, sig,
@@ -518,21 +553,27 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
         return on_rows(lambda a, m, x: mdl.modulation_eval(h, a, m), h.age_free,
                        h.memory_free, A, scales, 0, n1, None)
 
+    def pull_young(src, stacked, young, out):
+        """Rows 1 to young - 1 of src, each through the row of the stacked
+        tables of its index, into out, in blocks of rows."""
+        for lo, hi in _row_blocks(1, young, blk_rows):
+            tabs = [_table_rows(t, slice(lo, hi)) for t in stacked]
+            out[lo:hi] = _pull(src[lo:hi], tabs, 1, _remap_rows)
+
     def to_m(u, n, out):
-        """The m-grid density of the state u at step n, into out, in blocks
-        of rows: row 0, and at step 0 every row, has sigma = 1; rows 1 to
-        young - 1 have index = row, the others index n."""
+        """The m-grid density of the state u at step n, into out: row 0, and
+        at step 0 every row, has sigma = 1; rows 1 to young - 1 have index =
+        row, the others, if any, index n."""
         if n == 0:
             out[:] = u
             return out
         young = min(n, na)
         out[0] = u[0]
-        for lo, hi in _row_blocks(1, young, blk_rows):
-            tabs = [_table_rows(t, slice(lo, hi)) for t in to_m_tabs]
-            out[lo:hi] = _pull(u[lo:hi], tabs, 1, _remap_rows)
-        tabs = [_table_rows(t, n) for t in to_m_tabs]
-        for lo, hi in _row_blocks(young, na, blk_rows):
-            out[lo:hi] = _pull(u[lo:hi], tabs, 1)
+        pull_young(u, to_m_tabs, young, out)
+        if young < na:
+            tabs = [_table_rows(t, n) for t in to_m_tabs]
+            for lo, hi in _row_blocks(young, na, blk_rows):
+                out[lo:hi] = _pull(u[lo:hi], tabs, 1)
         return out
 
     kv = np.asarray(mdl.kernel_eval(h, ts), dtype=float)
@@ -602,7 +643,9 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
 
         # transport, block by block: row i of the new state is row i - 1 of
         # u times exp(-dt f) at the midpoint of its characteristic
-        surv = np.exp(-dt * f_rows(a_mid, mids, 1, n1, x_mid))
+        surv = f_rows(a_mid, mids, 1, n1, x_mid)
+        surv *= -dt
+        np.exp(surv, out=surv)
         F = f_rows(A, scales, 0, n1, x_next)
         if h.J != 0.0:
             g = g_rows(n1)
@@ -617,17 +660,17 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
         i_rho[0] = 0.0
 
         # border layer at the new time: rows 1 to young - 1 each through the
-        # table of their index, the age integral of the rest through that
-        # of n1; then fixed-point sweeps for the self-referential age-zero
-        # node
+        # table of their index, into the rows of u, which this step reads no
+        # more, and then summed over age; the age integral of the rest
+        # through the table of n1; then fixed-point sweeps for the
+        # self-referential age-zero node
         young = min(n1, na)
-        src, w = Fn[1:], wa[1:]
+        pull_young(Fn, border_tabs, young, u)
+        fixed = np.einsum("i,i...->...", wa[1:young], u[1:young])
         if young < na:
-            src = np.concatenate([Fn[1:young],
-                                  np.einsum("i,i...->...", wa[young:], Fn[young:])[None]])
-            w = np.concatenate([wa[1:young], [1.0]])
-        tabs = [_table_rows(t, slice(1, src.shape[0] + 1)) for t in border_tabs]
-        fixed = np.einsum("i,i...->...", w, _pull(src, tabs, 1, _remap_rows))
+            tabs = [_table_rows(t, n1) for t in border_tabs]
+            fixed += _pull(np.einsum("i,i...->...", wa[young:], Fn[young:]),
+                           tabs, 0)
         b = fixed
         for _ in range(border_sweeps):
             b = fixed + wa[0] * _pull(F[0] * b, jump_tab, 0)
@@ -665,8 +708,7 @@ def border_step(spec: mdl.ModelSpec, grid: Grid, rho, x_t):
     mesh = _m_mesh(grid)
     na = grid.a_nodes.shape[0]
     A = grid.a_nodes.reshape((na,) + (1,) * d)
-    nodes_list = [grid.m_nodes(k) for k in range(d)]
-    _, jump_tab = _remap_tables(spec, nodes_list, spec.lam, grid.dt)
+    jump_tab = _jump_tables(spec, [grid.m_nodes(k) for k in range(d)])
     F = np.asarray(spec.intensity(A, mesh, x_t), dtype=float)
     return _border(F * rho, wa, jump_tab)
 
@@ -711,7 +753,11 @@ def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, u0=None,
         raise mdl.ConfigurationError("initial density has nonpositive mass")
     rho = rho / tot
 
-    decay_tab, jump_tab = _remap_tables(spec, nodes_list, lam, dt)
+    # the decay pull, whose dslope factors give the volume factor
+    # exp(dt tr Lambda), and the jump pull
+    decay_tab = [_remap_table(n, n * math.exp(l * dt), math.exp(l * dt))
+                 for n, l in zip(nodes_list, lam)]
+    jump_tab = _jump_tables(spec, nodes_list)
 
     G = int(round(T / dt))
     ts = np.arange(G + 1) * dt

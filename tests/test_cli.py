@@ -339,13 +339,13 @@ def test_main_argv_roundtrip(tmp_path):
 # sha256 of every artifact of each golden config but the manifest, which
 # records the wall time of the run
 GOLDEN_SHA256 = {
-    "converge/convergence.csv": "608801147b83903a2711f55ba5ec9e78aa150049dc14fffc651bb7733c8027da",
-    "converge/convergence.json": "a21a26d3dd22ac61396a85925465e4f0f4540512fbf9ccb35f7cfea598392834",
+    "converge/convergence.csv": "aeeb5fc067da6a2ea7bae942506a1e6c2a9459445c6e0a5be009d9322898905a",
+    "converge/convergence.json": "3f1725859716e4972e3f3ff3b0ab51899d9be889a9babd64d2553a6701301fe6",
     "couple/coupling.csv": "6376361eae8c8260d6028fe1b2d1099bb69830c00bdd0d024134af2a7758901e",
     "couple/coupling.json": "b40bd2675e377dc256d64cc84c39412104537dc441ff4e80aa2640ce9cebdcac",
-    "pde/density.csv": "ab765a225dfe4b53bdfa17e0b32212d818238cf6c0d0c09fcd87922719c58d92",
-    "pde/diagnostics.json": "d90afe8c3a0a8ac9b8004284272ced81222c31c421d8fa804a66106d4d6b5892",
-    "pde/xpath.csv": "46f7684bfe0351805892410573f4a9a342beabdb0ed2cbb6c08176ca00cda754",
+    "pde/density.csv": "82067d9bffaaf5e2842862f416155279201fdf9b208df4adaed3bb03dd3945c5",
+    "pde/diagnostics.json": "d142c2639e421c5453a43bf81b1fe38dc90935049e8b112ca913bb3fed14182f",
+    "pde/xpath.csv": "987b82b8c427874e7825ba3d06cc420b77e8f964041b181b9a2c71af38eb128b",
     "simulate/events.csv": "2b7954b64f8808c7cd91215c096e48d1b43c9549203308cd29bdcfb7b8dec784",
     "simulate/run.json": "bddf326d8940db1bd480b569ea9af77dc25831477349bac0caafb8ff7619e76d",
     "simulate/snapshots.csv": "ca86f8969e796e6ce9cff507a05f8e57fe07ff78d700eda18e2ce423d12f43ae",

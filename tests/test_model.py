@@ -511,7 +511,7 @@ def test_affine_default_offset_same_bits_as_explicit():
     for fn in (mdl.jump_apply, mdl.jump_inverse):
         assert fn(s0.jump, m).tobytes() == fn(s1.jump, m).tobytes()
     nodes = [np.linspace(-1.5, 0.5, 21), np.linspace(-0.5, 1.0, 17)]
-    tabs = [pde._remap_tables(s, nodes, s.lam, 0.1)[1] for s in (s0, s1)]
+    tabs = [pde._jump_tables(s, nodes) for s in (s0, s1)]
     for t0, t1 in zip(*tabs):
         for name in ("idx", "w_m", "w_0", "w_1"):
             assert getattr(t0, name).tobytes() == getattr(t1, name).tobytes()

@@ -241,8 +241,7 @@ def test_d2_jump_tables_match_model_inverse(jump):
     spec = dataclasses.replace(_d2_spec(), jump=jump)
     g = _d2_grid(1.0)
     nodes = [g.m_nodes(k) for k in range(2)]
-    _, tabs = pde._remap_tables(spec, nodes, spec.lam, g.dt)
-    for k, (n, tab) in enumerate(zip(nodes, tabs)):
+    for k, (n, tab) in enumerate(zip(nodes, pde._jump_tables(spec, nodes))):
         pts = np.full((n.size, 2), 0.3)
         pts[:, k] = n
         ref = pde._remap_table(
@@ -288,7 +287,7 @@ def _mu_states(spec, g, sol, steps, u0=None):
         for i in range(1, n + 1):
             rows = slice(i, i + 1) if i < n else slice(n, None)
             sig = np.exp(i * dt * spec.lam)
-            tabs = [pde._remap_table(nd, s * tg, s * ds)
+            tabs = [pde._remap_table(nd, s * tg, s * ds, edge_cells=True)
                     for nd, (tg, ds), s in zip(nodes, pulls, sig)]
             b = b + pde._border(F[rows] * new[rows], wa[rows], tabs)
         new[0] = sol.borders[n]
@@ -441,6 +440,42 @@ def test_solution_bits_independent_of_block_size(case, monkeypatch):
                                                 rel=1e-8, abs=1e-15)
 
 
+def _past_a_max_case(case):
+    if case == "edge":
+        # a memory law up to the upper box edge, where the decay does not
+        # reach: a pull whose last in-box target lies sigma h below the edge
+        # misses that cell's mass
+        return _spec(f=mdl.IntensitySpec(family="constant", f_min=0.5, f_max=0.5),
+                     init=mdl.InitialLaw(age=("exponential", 1.0),
+                                         mem=(("uniform", -1.0, 0.5),))), (-2.5,), (0.5,)
+    dg = presets.default_grid(case)
+    return presets.preset(case), dg.m_lo, dg.m_hi
+
+
+@pytest.mark.parametrize("case", ["adaptation-1d", "stp", "edge"])
+def test_m_grid_densities_keep_the_state_mass_past_a_max(case):
+    # a march past a_max with a save at T and a callback at every step.  The
+    # oldest rows have sigma = e^4, so their conversion and border targets
+    # lie sigma h, more than the box width, apart and at most one is inside
+    # the box.  The m-grid densities hold the mass of the state in mu
+    # units, and the border balances the loss as at the decay-remap march
+    # (flux_rel 1.4e-5 on the presets, 1.9e-6 on "edge")
+    spec, lo, hi = _past_a_max_case(case)
+    g = pde.Grid(a_max=4.0, n_a=80, m_lo=lo, m_hi=hi, n_m=(40,), T=5.0, dt=0.05)
+    seen = []
+    last = []
+
+    def cb(n, t, rho, x_t, F):
+        seen.append(pde.mass(rho, g))
+        if n == g.n_steps:
+            last.append(rho.copy())
+
+    sol = pde.solve_alm_pde(spec, g, save_times=[g.T], step_callback=cb)
+    assert np.array_equal(last[0], sol.rho_at(g.T))
+    np.testing.assert_allclose(seen, sol.mass_trace, rtol=1e-12, atol=0.0)
+    assert float(np.nanmax(sol.flux_rel)) < 2e-5
+
+
 def test_clip_mass_is_a_trapezoid_mass():
     # the clip removes the negative lobe's trapezoid mass, which does not
     # grow with the memory resolution and stays below the unit total mass
@@ -504,10 +539,10 @@ def test_remap_matches_scipy_pchip(case):
     pulls = [(nodes * s, s),
              (mdl.jump_inverse(spec.jump, m)[:, 0],
               np.exp(mdl.jump_inverse_jacobian_logdet(spec.jump, m)))]
-    decay_tab, jump_tab = pde._remap_tables(spec, [nodes], spec.lam, g.dt)
+    tabs = [pde._remap_table(nodes, *pulls[0]), pde._jump_tables(spec, [nodes])[0]]
     if case == "custom":
         assert np.ptp(pulls[1][1]) > 0.1
-    for (tg, ds), tab in zip(pulls, (decay_tab[0], jump_tab[0])):
+    for (tg, ds), tab in zip(pulls, tabs):
         for arr in (rho, noisy):
             # full array, memory axis first, one border row, one 1-d slice
             for a, axis in ((arr, 1), (arr.T, 0), (arr[:1], 1), (arr[5], 0)):
