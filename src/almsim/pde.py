@@ -440,7 +440,8 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
     integrals of each row and the border layer.  Rows i >= n share the
     scale of step n: their loss density is integrated over age and pulled
     through one table with targets sigma_n gamma^-1(m).  Each younger row
-    has its own table, built once per solve, and one call pulls them all.
+    has its own table, built once per solve, and the tables of a block of
+    rows are stacked so that one call pulls the block.
     Row 0 has sigma = 1 and is the border layer itself.  The young rows
     make the work of step n grow with min(n, n_a): f, when it depends on
     memory, and the border pull run on each of them.  A step is cheapest

@@ -440,27 +440,26 @@ def test_solution_bits_independent_of_block_size(case, monkeypatch):
                                                 rel=1e-8, abs=1e-15)
 
 
-def _past_a_max_case(case):
-    if case == "edge":
-        # a memory law up to the upper box edge, where the decay does not
-        # reach: a pull whose last in-box target lies sigma h below the edge
-        # misses that cell's mass
-        return _spec(f=mdl.IntensitySpec(family="constant", f_min=0.5, f_max=0.5),
-                     init=mdl.InitialLaw(age=("exponential", 1.0),
-                                         mem=(("uniform", -1.0, 0.5),))), (-2.5,), (0.5,)
-    dg = presets.default_grid(case)
-    return presets.preset(case), dg.m_lo, dg.m_hi
-
-
 @pytest.mark.parametrize("case", ["adaptation-1d", "stp", "edge"])
 def test_m_grid_densities_keep_the_state_mass_past_a_max(case):
     # a march past a_max with a save at T and a callback at every step.  The
     # oldest rows have sigma = e^4, so their conversion and border targets
     # lie sigma h, more than the box width, apart and at most one is inside
-    # the box.  The m-grid densities hold the mass of the state in mu
-    # units, and the border balances the loss as at the decay-remap march
-    # (flux_rel 1.4e-5 on the presets, 1.9e-6 on "edge")
-    spec, lo, hi = _past_a_max_case(case)
+    # the box.  "edge" has a memory law up to the upper box edge, which the
+    # decay never reaches, so a pull whose last in-box target lies up to
+    # sigma h below the edge must still keep that cell's mass.  The m-grid
+    # densities hold the mass of the state in mu units, the border balances
+    # the loss as at the decay-remap march (flux_rel 1.4e-5 on the presets,
+    # 1.9e-6 on "edge"), and the mass of "edge" is that of a law inside the
+    # box (the decay-remap march lost 7.7 % of it by t = 1)
+    if case == "edge":
+        spec = _spec(f=mdl.IntensitySpec(family="constant", f_min=0.5, f_max=0.5),
+                     init=mdl.InitialLaw(age=("exponential", 1.0),
+                                         mem=(("uniform", -1.0, 0.5),)))
+        lo, hi = (-2.5,), (0.5,)
+    else:
+        spec, dg = presets.preset(case), presets.default_grid(case)
+        lo, hi = dg.m_lo, dg.m_hi
     g = pde.Grid(a_max=4.0, n_a=80, m_lo=lo, m_hi=hi, n_m=(40,), T=5.0, dt=0.05)
     seen = []
     last = []
@@ -474,6 +473,13 @@ def test_m_grid_densities_keep_the_state_mass_past_a_max(case):
     assert np.array_equal(last[0], sol.rho_at(g.T))
     np.testing.assert_allclose(seen, sol.mass_trace, rtol=1e-12, atol=0.0)
     assert float(np.nanmax(sol.flux_rel)) < 2e-5
+    if case == "edge":
+        # with a constant f the mass does not depend on the memory law
+        inner = dataclasses.replace(spec, init_law=mdl.InitialLaw(
+            age=("exponential", 1.0), mem=(("uniform", -1.0, 0.0),)))
+        np.testing.assert_allclose(sol.mass_trace,
+                                   pde.solve_alm_pde(inner, g).mass_trace,
+                                   rtol=1e-8, atol=0.0)
 
 
 def test_clip_mass_is_a_trapezoid_mass():
