@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -95,9 +94,11 @@ class _RemapTable:
     in the cell slope m[i] and the node slopes d[i], d[i+1].  The three
     weights carry |dslope| and are zero for targets outside the box.  ends
     holds the cells and cubic-value weights of the two mass ends, the lowest
-    and highest in-box targets (see _remap_table), or None when no target is
-    inside.  fill is one on the in-box targets and zero elsewhere, scaled to
-    unit trapezoid mass, or zero when no target is inside.
+    and highest targets clipped to the box (see _remap_table), with zero
+    weights when no target is inside.  fill is one on the in-box targets
+    and zero elsewhere, scaled to unit trapezoid mass, or zero when no
+    target is inside.  A stacked table (see _stack_tables) has one more
+    leading axis on every field but h and trapz.
     """
     h: float
     idx: np.ndarray
@@ -109,15 +110,14 @@ class _RemapTable:
     fill: np.ndarray
 
 
-def _remap_table(nodes, targets, dslope, edge_cells=False):
+def _remap_table(nodes, targets, dslope):
     """Weights of _mass_remap for one axis; nodes must be uniformly spaced.
 
-    The remap keeps the source mass between its two mass ends.  These are
-    the outermost in-box targets, or with edge_cells the outermost targets
-    clipped to the box, which also keeps the source cells past the last
-    in-box target.  A pull whose targets lie many source cells apart needs
-    edge_cells: otherwise up to one target spacing of mass at each box edge
-    is lost.
+    The remap keeps the source mass between its two mass ends, the
+    outermost targets clipped to the box.  So the source cells past the
+    last in-box target keep their mass too, which matters for a pull whose
+    targets lie many source cells apart: up to one target spacing of mass
+    at each box edge.
     """
     nodes = np.asarray(nodes, dtype=float)
     # the first cell's width, as in _trapz_weights, so that the remap and the
@@ -137,19 +137,15 @@ def _remap_table(nodes, targets, dslope, edge_cells=False):
     s = np.clip((tc - nodes[idx]) / h, 0.0, 1.0)
     scale = np.abs(dslope) * inside
     trapz = _trapz_weights(nodes)
-    ends = None
-    fill = np.zeros(t.shape)
-    if inside.any():
-        keep = slice(None) if edge_cells else inside
-        ti = tc[keep]
-        sel = [np.argmin(ti), np.argmax(ti)]
-        i, u = idx[keep][sel], s[keep][sel]
-        sign = np.array([-1.0, 1.0])
-        # Hermite basis at u: values of y[i], y[i+1] and h*d[i], h*d[i+1]
-        wy = sign * np.stack([(1 - u) ** 2 * (1 + 2 * u), u * u * (3 - 2 * u)])
-        wd = sign * h * np.stack([u * (1 - u) ** 2, -u * u * (1 - u)])
-        ends = (np.concatenate([i, i + 1]), wy.ravel(), wd.ravel())
-        fill = inside / float(trapz @ inside)
+    sel = [np.argmin(tc), np.argmax(tc)]
+    i, u = idx[sel], s[sel]
+    # Hermite basis at u: values of y[i], y[i+1] and h*d[i], h*d[i+1]; zero
+    # weights when no target is inside, which leave the all-zero result be
+    sign = np.array([-1.0, 1.0]) * inside.any()
+    wy = sign * np.stack([(1 - u) ** 2 * (1 + 2 * u), u * u * (3 - 2 * u)])
+    wd = sign * h * np.stack([u * (1 - u) ** 2, -u * u * (1 - u)])
+    ends = (np.concatenate([i, i + 1]), wy.ravel(), wd.ravel())
+    fill = inside / float(trapz @ inside) if inside.any() else np.zeros(t.shape)
     return _RemapTable(h, idx, 6 * s * (1 - s) * scale,
                        (1 - s) * (1 - 3 * s) * scale, s * (3 * s - 2) * scale,
                        trapz, ends, fill)
@@ -223,9 +219,16 @@ def _mass_remap(arr, tab: _RemapTable, axis):
     between any two flow points is preserved by construction, the result is
     nonnegative for nonnegative input, and targets outside the node range
     contribute zero (the density is treated as vanishing outside the box).
-    The target cells and Hermite weights come precomputed in tab (see
-    _remap_table), so a call is one cumulative sum, the slopes and a
-    weighted gather.
+    Each slice keeps the source mass between the outermost targets clipped
+    to the box, so the cells between the last in-box target and the box
+    edge keep theirs (see _remap_table and _match_mass).  The target cells
+    and Hermite weights come precomputed in tab, so a call is one
+    cumulative sum, the slopes and a weighted gather.
+
+    tab is shared, one table for every slice, or stacked (see
+    _stack_tables), row r for the slices of index r of arr's leading axis.
+    Only the gather differs: a shared table indexes v[..., i], a stacked
+    one gathers each row's cells from the flat array.
 
     Plain node-value interpolation is not used here on purpose: iterating it
     over many steps is visibly non-conservative (loss at extrema for limited
@@ -233,61 +236,50 @@ def _mass_remap(arr, tab: _RemapTable, axis):
     """
     a = np.moveaxis(np.asarray(arr, dtype=float), axis, -1)
     cum, mk, d = _cum_slopes(a, tab.h)
+    if tab.idx.ndim == 1:
+        def rows(w):
+            return w
+
+        def take(v, i):
+            return v[..., i]
+    else:
+        lead = (a.shape[0],) + (1,) * (a.ndim - 2)
+        starts = np.arange(a[..., 0].size).reshape(a.shape[:-1] + (1,))
+
+        def rows(w):
+            return w.reshape(lead + w.shape[-1:])
+
+        def take(v, i):
+            # v[..., i] with the indices of row r for leading index r, as one
+            # gather on the flat v, which is three times faster than
+            # np.take_along_axis
+            return np.take(v, starts * v.shape[-1] + rows(i))
+
     i = tab.idx
-    vals = tab.w_m * mk[..., i] + tab.w_0 * d[..., i] + tab.w_1 * d[..., i + 1]
-    if tab.ends is not None:
-        ie, wy, wd = tab.ends
-        _match_mass(vals, _dot_last(cum[..., ie], wy) + _dot_last(d[..., ie], wd),
-                    tab.trapz, tab.fill)
+    vals = (rows(tab.w_m) * take(mk, i) + rows(tab.w_0) * take(d, i)
+            + rows(tab.w_1) * take(d, i + 1))
+    ie, wy, wd = tab.ends
+    exact = (np.einsum("...i,...i->...", take(cum, ie), rows(wy))
+             + np.einsum("...i,...i->...", take(d, ie), rows(wd)))
+    _match_mass(vals, exact, tab.trapz, rows(tab.fill))
     return np.moveaxis(vals, -1, axis)
 
 
 def _stack_tables(tabs):
-    """The tables of one axis stacked into one, row r holding tabs[r], for
-    _remap_rows.  A table with no target inside the box gets zero end
-    weights, which leave its all-zero result unscaled."""
-    none = (np.zeros(4, dtype=np.intp), np.zeros(4), np.zeros(4))
-    ends = [none if t.ends is None else t.ends for t in tabs]
+    """The tables of one axis stacked into one, row r holding tabs[r]."""
     fields = [np.stack([getattr(t, f) for t in tabs])
               for f in ("idx", "w_m", "w_0", "w_1")]
     return _RemapTable(tabs[0].h, *fields, tabs[0].trapz,
-                       tuple(np.stack(e) for e in zip(*ends)),
+                       tuple(np.stack(e) for e in zip(*(t.ends for t in tabs))),
                        np.stack([t.fill for t in tabs]))
 
 
 def _table_rows(tab, key):
     """Rows key of a stacked table: a slice gives a stacked table, an index
-    one table for _mass_remap."""
+    a shared one."""
     return _RemapTable(tab.h, tab.idx[key], tab.w_m[key], tab.w_0[key],
                        tab.w_1[key], tab.trapz, tuple(e[key] for e in tab.ends),
                        tab.fill[key])
-
-
-def _remap_rows(arr, tab: _RemapTable, axis):
-    """_mass_remap of each index of arr's leading axis with its own table:
-    tab is stacked (see _stack_tables), one row per leading index."""
-    a = np.moveaxis(np.asarray(arr, dtype=float), axis, -1)
-    cum, mk, d = _cum_slopes(a, tab.h)
-    lead = (a.shape[0],) + (1,) * (a.ndim - 2)
-    starts = np.arange(a[..., 0].size).reshape(a.shape[:-1] + (1,))
-
-    def per_row(w):
-        return w.reshape(lead + w.shape[-1:])
-
-    def take(v, i):
-        # v[..., i] with the indices of row r for leading index r, as one
-        # gather on the flat v, which is three times faster than
-        # np.take_along_axis
-        return np.take(v, starts * v.shape[-1] + per_row(i))
-
-    i = tab.idx
-    vals = (per_row(tab.w_m) * take(mk, i) + per_row(tab.w_0) * take(d, i)
-            + per_row(tab.w_1) * take(d, i + 1))
-    ie, wy, wd = tab.ends
-    exact = (np.einsum("...i,...i->...", take(cum, ie), per_row(wy))
-             + np.einsum("...i,...i->...", take(d, ie), per_row(wd)))
-    _match_mass(vals, exact, tab.trapz, per_row(tab.fill))
-    return np.moveaxis(vals, -1, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +370,10 @@ def _jump_tables(spec, nodes_list):
             for n, p in zip(nodes_list, _jump_pulls(spec, nodes_list))]
 
 
-def _pull(arr, table, m_axis0, remap=_mass_remap):
+def _pull(arr, table, m_axis0):
     out = arr
     for k, tab in enumerate(table):
-        out = remap(out, tab, m_axis0 + k)
+        out = _mass_remap(out, tab, m_axis0 + k)
     return out
 
 
@@ -425,8 +417,7 @@ def _row_blocks(lo, hi, rows):
 
 
 def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
-                  save_times=(), step_callback=None,
-                  border_sweeps=2) -> DensitySolution:
+                  save_times=(), step_callback=None) -> DensitySolution:
     """Marches the Lagrangian solution of the full age-and-memory equation.
 
     The march carries each age row in cohort coordinates.  Between events a
@@ -451,10 +442,10 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
     each row with sigma > 1 is converted by one conservative remap with
     targets sigma m.  That costs about one full-grid remap per conversion;
     it is paid at the save times, and at every step when a callback is
-    given.  The targets of a row lie sigma cells apart, so the conversion
-    and border tables keep the mass past the outermost in-box targets (see
-    _remap_table and _match_mass): an m-grid row holds the mass of its mu
-    row whenever one of its targets is inside the box.
+    given.  The targets of a row lie sigma cells apart, and the remap keeps
+    the mass past the outermost in-box targets (see _remap_table and
+    _match_mass): an m-grid row holds the mass of its mu row whenever one
+    of its targets is inside the box.
 
     step_callback(n, t_n, rho, x_n, F) gets rho_n on the m grid and f at
     (t_n, x_n) on the m grid, F as a read-only view of the shape of rho.
@@ -499,21 +490,19 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
     scales = np.exp(np.multiply.outer(ks, lam))
     mids = np.exp(np.multiply.outer(ks - dt / 2.0, lam))
 
-    # conservative remap tables: the jump pull at sigma = 1 for the border
-    # sweeps, and per index k the jump pull of the loss density
-    # (targets sigma_k gamma^-1(m)) and the conversion to the m grid
-    # (targets sigma_k m).  The targets of index k lie sigma_k cells apart,
-    # so these tables keep the mass of the cells at the box edges
+    # conservative remap tables per index k: the jump pull of the loss
+    # density (targets sigma_k gamma^-1(m)) and the conversion to the m grid
+    # (targets sigma_k m).  Index 0 has sigma = 1, so its jump pull is that
+    # of the border sweeps
     nodes_list = [grid.m_nodes(k) for k in range(d)]
     wm = [_trapz_weights(nodes) for nodes in nodes_list]
-    pulls = _jump_pulls(spec, nodes_list)
-    jump_tab = [_remap_table(n, *p) for n, p in zip(nodes_list, pulls)]
-    border_tabs = [_stack_tables([_remap_table(n, s * tg, s * ds, True)
+    border_tabs = [_stack_tables([_remap_table(n, s * tg, s * ds)
                                   for s in scales[:, k]])
-                   for k, (n, (tg, ds)) in enumerate(zip(nodes_list, pulls))]
-    to_m_tabs = [_stack_tables([_remap_table(n, s * n, s, True)
-                                for s in scales[:, k]])
+                   for k, (n, (tg, ds))
+                   in enumerate(zip(nodes_list, _jump_pulls(spec, nodes_list)))]
+    to_m_tabs = [_stack_tables([_remap_table(n, s * n, s) for s in scales[:, k]])
                  for k, n in enumerate(nodes_list)]
+    jump_tab = [_table_rows(t, 0) for t in border_tabs]
 
     a_mid = (a_nodes[1:] - dt / 2.0).reshape((na - 1,) + (1,) * d)
     # an age-free f is evaluated on one row, which broadcasts over the ages,
@@ -559,7 +548,7 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
         tables of its index, into out, in blocks of rows."""
         for lo, hi in _row_blocks(1, young, blk_rows):
             tabs = [_table_rows(t, slice(lo, hi)) for t in stacked]
-            out[lo:hi] = _pull(src[lo:hi], tabs, 1, _remap_rows)
+            out[lo:hi] = _pull(src[lo:hi], tabs, 1)
 
     def to_m(u, n, out):
         """The m-grid density of the state u at step n, into out: row 0, and
@@ -663,7 +652,7 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
         # border layer at the new time: rows 1 to young - 1 each through the
         # table of their index, into the rows of u, which this step reads no
         # more, and then summed over age; the age integral of the rest
-        # through the table of n1; then fixed-point sweeps for the
+        # through the table of n1; then two fixed-point sweeps for the
         # self-referential age-zero node
         young = min(n1, na)
         pull_young(Fn, border_tabs, young, u)
@@ -673,7 +662,7 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
             fixed += _pull(np.einsum("i,i...->...", wa[young:], Fn[young:]),
                            tabs, 0)
         b = fixed
-        for _ in range(border_sweeps):
+        for _ in range(2):
             b = fixed + wa[0] * _pull(F[0] * b, jump_tab, 0)
         # the injected layer balances the survival loss analytically, so it
         # enters unscaled; the implied correction factor is kept as a
@@ -937,23 +926,3 @@ def density_to_csv(sol: DensitySolution, path, stride_a=1, stride_m=1):
                 row += [repr(float(axes[k][idxs[1 + k]])) for k in range(grid.d)]
                 row.append(repr(float(sub[idxs])))
                 w.writerow(row)
-
-
-def density_to_binary(sol: DensitySolution, path_prefix):
-    """Writes <prefix>.bin (little-endian float64) plus a JSON header."""
-    grid = sol.grid
-    arr = np.stack(sol.rhos).astype("<f8")
-    arr.tofile(str(path_prefix) + ".bin")
-    header = {
-        "shape": list(arr.shape),
-        "dtype": "<f8",
-        "endianness": "little",
-        "save_times": [float(t) for t in sol.save_times],
-        "dt": grid.dt,
-        "a_max": grid.a_max,
-        "m_lo": list(grid.m_lo),
-        "m_hi": list(grid.m_hi),
-        "n_m": list(grid.n_m),
-    }
-    with open(str(path_prefix) + ".json", "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
