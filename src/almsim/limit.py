@@ -147,15 +147,25 @@ def _candidate_stream(spec, n, T, seed):
 
 def _walk_slots(spec, acc_t, acc_m, acc_cnt, a0, times):
     """Yields, slot by slot, the (particle, time) index pairs that fall in
-    the slot and the ages and memories there."""
-    n = acc_t.shape[0]
+    the slot and the ages and memories there.
+
+    times must be sorted.  Slot k of particle p holds the times t with
+    acc_t[p, k] <= t < acc_t[p, k + 1], grid indices edge[p, k] up to
+    edge[p, k + 1]; an unused slot's time is inf, so a particle's last slot
+    runs to the end of times.  Pairs come particle by particle, as from
+    np.nonzero of the slot's (particle, time) mask."""
+    n, S = acc_t.shape[0], times.shape[0]
     lam = spec.lam
-    nxt = np.concatenate([acc_t[:, 1:], np.full((n, 1), np.inf)], axis=1)
-    for k in range(int(acc_cnt.max())):
-        sel = (acc_t[:, k, None] <= times[None, :]) & (times[None, :] < nxt[:, k, None])
-        pi, gi = np.nonzero(sel)
+    K = int(acc_cnt.max())
+    edge = np.full((n, K + 1), S)
+    edge[:, :K] = np.searchsorted(times, acc_t[:, :K], "left")
+    for k in range(K):
+        cnt = edge[:, k + 1] - edge[:, k]
+        pi = np.repeat(np.arange(n), cnt)
         if pi.size == 0:
             continue
+        start = np.cumsum(cnt) - cnt
+        gi = np.arange(pi.size) + np.repeat(edge[:, k] - start, cnt)
         rel = times[gi] - acc_t[pi, k]
         a = rel + (a0[pi] if k == 0 else 0.0)
         yield pi, gi, a, acc_m[pi, k] * np.exp(-lam[None, :] * rel[:, None])
@@ -180,7 +190,11 @@ def solve_x_picard(spec: mdl.ModelSpec, T: float, dt=None, n_particles=20_000,
         dt = 1e-3 * T
     if dt <= 0 or tol <= 0:
         raise ValueError("need dt > 0 and tol > 0")
+    # pde.Grid's rule: a path that stops short of T, or has one knot, is no
+    # signal on [0, T]
     G = int(round(T / dt))
+    if abs(T / dt - G) > 1e-9 or G < 1:
+        raise mdl.ConfigurationError("dt must divide T")
     ts = np.arange(G + 1) * dt
     n = n_particles
     h = spec.h
@@ -203,8 +217,8 @@ def solve_x_picard(spec: mdl.ModelSpec, T: float, dt=None, n_particles=20_000,
                 val = (np.asarray(mdl.modulation_eval(h, a, m), dtype=float)
                        * np.asarray(spec.intensity(a, m, x[gi]), dtype=float))
                 np.add.at(q, gi, val)
-            # grid point T belongs to the last slot via _walk_slots' < inf guard;
-            # the t = T sample can fall on no slot only if an event sits at T
+            # each grid time falls in exactly one slot of each particle: slot
+            # 0 opens at t = 0 and a particle's last slot runs to the end of ts
             q /= n
             conv = np.convolve(q, kv)[:G + 1]
             x_new = hbar + dt * h.J * (conv - kv[0] * q)

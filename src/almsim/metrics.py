@@ -136,23 +136,37 @@ def exact_w1_discrete(x_pts, y_pts):
 # slope fits
 
 
-def fit_loglog_slope(Ns, means):
+def _loglog_coef(Ns, log_means):
+    """Least-squares (slope, intercept) of log_means on log Ns; a 2-d
+    log_means holds one fit per column."""
     Ns = np.asarray(Ns, dtype=float)
-    means = np.asarray(means, dtype=float)
     A = np.vstack([np.log(Ns), np.ones_like(Ns)]).T
-    coef, *_ = np.linalg.lstsq(A, np.log(means), rcond=None)
-    return float(coef[0]), float(coef[1])
+    coef, *_ = np.linalg.lstsq(A, log_means, rcond=None)
+    return coef
+
+
+def fit_loglog_slope(Ns, means):
+    slope, intercept = _loglog_coef(Ns, np.log(np.asarray(means, dtype=float)))
+    return float(slope), float(intercept)
 
 
 def _bootstrap_slope(Ns, values_by_N, n_boot=1000, seed=0):
+    """Percentile 95 % interval of the log-log slope over n_boot resamples
+    of every rung (Efron & Tibshirani 1993, ch. 13), with each rung mean
+    clamped at 1e-300.
+
+    One generator call draws, replica by replica and rung by rung,
+    len(vals) indices below len(vals): the stream of one integers call per
+    rung and replica.  Every slope keeps the bits of that per-replica loop,
+    whose fits the one multi-column lstsq reproduces."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    slopes = np.empty(n_boot)
-    for b in range(n_boot):
-        means = []
-        for vals in values_by_N:
-            idx = rng.integers(len(vals), size=len(vals))
-            means.append(max(np.mean(np.asarray(vals)[idx]), 1e-300))
-        slopes[b], _ = fit_loglog_slope(Ns, means)
+    vals = [np.asarray(v, dtype=float) for v in values_by_N]
+    lens = np.array([v.size for v in vals])
+    idx = rng.integers(np.repeat(lens, lens), size=(n_boot, int(lens.sum())))
+    ends = np.cumsum(lens)
+    means = np.stack([v[idx[:, e - v.size:e]].mean(axis=-1)
+                      for v, e in zip(vals, ends)], axis=1)
+    slopes = _loglog_coef(Ns, np.log(np.maximum(means, 1e-300)).T)[0]
     return float(np.quantile(slopes, 0.025)), float(np.quantile(slopes, 0.975))
 
 

@@ -310,6 +310,18 @@ def test_limit_nonconvergence_strict_exit(tmp_path):
     assert (out2 / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", ["limit", "couple"])
+def test_dt_not_dividing_T_exits_with_one_error_line(command, tmp_path, capsys):
+    # the Picard path stopped short of T and the run exited 0 with it
+    cfg = _write_cfg(tmp_path, _base(command, T=1.0, dt=0.3, n_particles=50,
+                                     N_ladder=[5, 10], n_replicas=2))
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_override=out) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == "error: dt must divide T\n"
+    assert list(out.iterdir()) == []
+
+
 def test_strict_warning_manifest_lists_only_this_run(tmp_path):
     # a file left in the output directory by something else must not be
     # checksummed into the manifest of a run that ends with a warning

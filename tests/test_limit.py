@@ -1,6 +1,8 @@
 """Tests for the Picard solver and limit-process sampler."""
 
+import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from almsim import limit as lim
 from almsim import model as mdl
+from almsim import presets
 
 
 def _constant_interacting(rate=1.0, J=0.8, tau=0.5):
@@ -94,6 +97,15 @@ def test_bad_arguments():
         lim.solve_x_picard(spec, T=1.0, dt=0.01, tol=0.0)
 
 
+@pytest.mark.parametrize("T, dt", [(1.0, 0.3), (1.0, 3.0), (2.0, 0.7)])
+def test_dt_must_divide_T(T, dt):
+    # a dt that does not divide T gave a path that stopped short of T, or a
+    # one-knot path that is no XPath
+    with pytest.raises(mdl.ConfigurationError, match="dt must divide T"):
+        lim.solve_x_picard(_constant_interacting(), T=T, dt=dt,
+                           n_particles=10)
+
+
 def test_nonconvergence_reported(interacting_spec):
     xp, rep = lim.solve_x_picard(interacting_spec, T=3.0, dt=0.02,
                                  n_particles=500, seed=4, tol=1e-15,
@@ -101,6 +113,106 @@ def test_nonconvergence_reported(interacting_spec):
     assert not rep.converged
     assert rep.iterations == 3
     assert np.all(np.isfinite(xp.values))
+
+
+# sha256 of x.values, taken before the slot walk left its (particle, time)
+# masks: the golden couple config's solve and an adaptation-1d solve
+PICARD_SHA256 = {
+    "golden-couple": ("plain-hawkes", 2.0, 0.02, 2000, 7,
+                      "c151cf462ceb8b071d79801877ea90d41169b35694ad1845a85ffd73f9b234d0"),
+    "adaptation-1d": ("adaptation-1d", 5.0, 0.01, 2000, 0,
+                      "bb2c02bb30e16a4413c40b1fd8b99ac5061cb21936b8e2c0ff2683c4c4fd5848"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PICARD_SHA256))
+def test_picard_path_pinned(case):
+    name, T, dt, n, seed, want = PICARD_SHA256[case]
+    xp, _ = lim.solve_x_picard(presets.preset(name), T, dt=dt,
+                               n_particles=n, seed=seed)
+    got = hashlib.sha256(np.ascontiguousarray(xp.values).tobytes()).hexdigest()
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# slot walk
+
+
+def _mask_walk(spec, acc_t, acc_m, acc_cnt, a0, times):
+    """The slot walk by one (particle, time) mask per slot."""
+    n = acc_t.shape[0]
+    lam = spec.lam
+    nxt = np.concatenate([acc_t[:, 1:], np.full((n, 1), np.inf)], axis=1)
+    for k in range(int(acc_cnt.max())):
+        sel = ((acc_t[:, k, None] <= times[None, :])
+               & (times[None, :] < nxt[:, k, None]))
+        pi, gi = np.nonzero(sel)
+        if pi.size == 0:
+            continue
+        rel = times[gi] - acc_t[pi, k]
+        a = rel + (a0[pi] if k == 0 else 0.0)
+        yield pi, gi, a, acc_m[pi, k] * np.exp(-lam[None, :] * rel[:, None])
+
+
+def _hand_built_events(d):
+    """Accept arrays over the grid 0, 0.1, ..., 1: an event exactly on a
+    grid time, an event at T, a particle with no events and one whose every
+    candidate was accepted, so that its last column is finite."""
+    ts = np.arange(11) * 0.1
+    inf = math.inf
+    acc_t = np.array([[0.0, ts[3], 0.55, inf],
+                      [0.0, inf, inf, inf],
+                      [0.0, 0.42, ts[10], inf],
+                      [0.0, 0.2, 0.45, 0.8],
+                      [0.0, 0.05, inf, inf]])
+    acc_cnt = np.isfinite(acc_t).sum(axis=1)
+    rng = np.random.default_rng(3)
+    acc_m = rng.normal(size=acc_t.shape + (d,))
+    a0 = rng.exponential(1.0, acc_t.shape[0])
+    spec = SimpleNamespace(lam=np.linspace(0.5, 1.5, d))
+    return spec, ts, acc_t, acc_m, acc_cnt, a0
+
+
+def _simulated_events(d):
+    """Accept arrays of 300 particles thinned against a constant signal."""
+    if d == 1:
+        spec = presets.preset("adaptation-1d")
+    else:
+        spec = mdl.ModelSpec(
+            d=2, Lambda=(1.0, 0.5),
+            f=mdl.IntensitySpec(family="sigmoid-affine", f_min=0.3, f_max=2.0,
+                                c_a=0.5, c_x=0.8, c_m=(0.7, -0.4), b=0.1),
+            jump=mdl.JumpSpec(family="affine-contraction", alpha=0.3,
+                              offset=(0.2, -0.1)),
+            init_law=mdl.InitialLaw(age=("exponential", 1.0),
+                                    mem=(("uniform", -1.0, 0.0),
+                                         ("uniform", 0.0, 0.5))))
+    ts = np.arange(51) * 0.02
+    a0, m0, cand_t, cand_u = lim._candidate_stream(spec, 300, ts[-1], 4)
+    acc_t, acc_m, acc_cnt = lim._simulate_events(
+        spec, ts, np.full(ts.size, 0.3), cand_t, cand_u, a0, m0)
+    return spec, ts, acc_t, acc_m, acc_cnt, a0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("build", [_hand_built_events, _simulated_events],
+                         ids=["hand-built", "simulated"])
+def test_walk_slots_matches_mask_walk(build, d):
+    spec, ts, acc_t, acc_m, acc_cnt, a0 = build(d)
+    assert acc_m.shape[2] == d
+    saves = np.array([0.0, ts[3], 0.5, 0.5, ts[-1]])
+    for times in (ts, saves):
+        got = list(lim._walk_slots(spec, acc_t, acc_m, acc_cnt, a0, times))
+        want = list(_mask_walk(spec, acc_t, acc_m, acc_cnt, a0, times))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for x, y in zip(g, w):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+        # every (particle, time) pair is visited exactly once
+        seen = np.zeros((acc_t.shape[0], times.size), dtype=int)
+        for pi, gi, _, _ in got:
+            np.add.at(seen, (pi, gi), 1)
+        assert np.all(seen == 1)
 
 
 # ---------------------------------------------------------------------------

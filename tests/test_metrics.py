@@ -144,6 +144,46 @@ def test_loglog_slope_recovers_power_law():
     assert abs(intercept - math.log(5.0)) < 1e-12
 
 
+def _bootstrap_loop(Ns, values_by_N, n_boot=1000, seed=0):
+    """The percentile bootstrap one replica at a time, one fit per replica."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    slopes = np.empty(n_boot)
+    for b in range(n_boot):
+        means = []
+        for vals in values_by_N:
+            idx = rng.integers(len(vals), size=len(vals))
+            means.append(max(np.mean(np.asarray(vals)[idx]), 1e-300))
+        slopes[b], _ = mt.fit_loglog_slope(Ns, means)
+    return float(np.quantile(slopes, 0.025)), float(np.quantile(slopes, 0.975))
+
+
+def _ladders():
+    rng = np.random.default_rng(11)
+    for R in range(2, 6):
+        Ns = [25 * 4 ** i for i in range(R)]
+        for L in range(1, 9):
+            yield Ns, [list(rng.exponential(N ** -0.5, L)) for N in Ns]
+    # ragged rungs, as from a ladder that repeats an N
+    for lens in ([3, 5], [1, 4, 2], [8, 8, 4], [6, 1, 7, 2, 5]):
+        yield ([10 * (i + 1) for i in range(len(lens))],
+               [list(rng.random(L)) for L in lens])
+    # a rung whose mean always clamps to 1e-300, and one that clamps in the
+    # resamples that miss its one nonzero value
+    yield [20, 40, 80], [[0.3, 0.2], [0.0, 0.0, 0.0], [0.05, 0.04]]
+    yield [20, 40, 80], [[0.3, 0.2, 0.25], [0.0, 0.0, 0.0, 1e-3], [0.05]]
+
+
+def test_bootstrap_same_bits_as_replica_loop():
+    for i, (Ns, values) in enumerate(_ladders()):
+        got = mt._bootstrap_slope(Ns, values, seed=i)
+        want = _bootstrap_loop(Ns, values, seed=i)
+        assert [_bits(v) for v in got] == [_bits(v) for v in want], (Ns, values)
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
 def test_trend_pvalue_direction():
     Ns = [100, 100, 400, 400, 1600, 1600]
     down = [1.0, 0.9, 0.5, 0.55, 0.2, 0.25]
