@@ -147,13 +147,10 @@ def _candidate_stream(spec, n, T, seed):
 
 def _walk_slots(spec, acc_t, acc_m, acc_cnt, a0, times):
     """Yields, slot by slot, the (particle, time) index pairs that fall in
-    the slot and the ages and memories there.
-
-    times must be sorted.  Slot k of particle p holds the times t with
-    acc_t[p, k] <= t < acc_t[p, k + 1], grid indices edge[p, k] up to
-    edge[p, k + 1]; an unused slot's time is inf, so a particle's last slot
-    runs to the end of times.  Pairs come particle by particle, as from
-    np.nonzero of the slot's (particle, time) mask."""
+    the slot and the ages and memories there, in np.nonzero's particle-major
+    order.  times must be sorted: slot k of particle p holds the indices
+    edge[p, k] up to edge[p, k + 1], the times from acc_t[p, k] to just
+    before acc_t[p, k + 1] (inf past the last event)."""
     n, S = acc_t.shape[0], times.shape[0]
     lam = spec.lam
     K = int(acc_cnt.max())

@@ -152,13 +152,10 @@ def fit_loglog_slope(Ns, means):
 
 def _bootstrap_slope(Ns, values_by_N, n_boot=1000, seed=0):
     """Percentile 95 % interval of the log-log slope over n_boot resamples
-    of every rung (Efron & Tibshirani 1993, ch. 13), with each rung mean
-    clamped at 1e-300.
-
-    One generator call draws, replica by replica and rung by rung,
-    len(vals) indices below len(vals): the stream of one integers call per
-    rung and replica.  Every slope keeps the bits of that per-replica loop,
-    whose fits the one multi-column lstsq reproduces."""
+    of every rung, each rung mean clamped at 1e-300 (Efron & Tibshirani
+    1993, ch. 13).  One generator call draws the indices in the order of a
+    loop over replicas and rungs, and one lstsq fits every replica: each
+    slope has the bits of that loop's per-replica draws and fit."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     vals = [np.asarray(v, dtype=float) for v in values_by_N]
     lens = np.array([v.size for v in vals])

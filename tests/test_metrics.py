@@ -144,6 +144,10 @@ def test_loglog_slope_recovers_power_law():
     assert abs(intercept - math.log(5.0)) < 1e-12
 
 
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
 def _bootstrap_loop(Ns, values_by_N, n_boot=1000, seed=0):
     """The percentile bootstrap one replica at a time, one fit per replica."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -178,10 +182,6 @@ def test_bootstrap_same_bits_as_replica_loop():
         got = mt._bootstrap_slope(Ns, values, seed=i)
         want = _bootstrap_loop(Ns, values, seed=i)
         assert [_bits(v) for v in got] == [_bits(v) for v in want], (Ns, values)
-
-
-def _bits(v):
-    return np.float64(v).tobytes()
 
 
 def test_trend_pvalue_direction():
