@@ -9,7 +9,6 @@ reproduce all artifacts bit-identically regardless of thread count.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -49,7 +48,8 @@ _NUMERICS_SCHEMA = {
         "t_eval": {"type": "number", "minimum": 0},
         "eval_points": {"type": "array",
                         "items": {"type": "array", "items": {"type": "number"}}},
-        "N_ladder": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+        "N_ladder": {"type": "array", "uniqueItems": True,
+                     "items": {"type": "integer", "minimum": 1}},
         "n_replicas": {"type": "integer", "minimum": 1},
         "n_directions": {"type": "integer", "minimum": 1},
         "n_samples": {"type": "integer", "minimum": 1},
@@ -189,15 +189,10 @@ def _cmd_pathint(spec, num, seed, outdir):
         t, a = pt[0], pt[1]
         m = np.asarray(pt[2:], dtype=float)
         val, bound = pathint.density_at(t, a, m, spec.init_law, x, cfg, spec)
-        rows.append((t, a, list(m), val, bound))
-    with open(outdir / "pathint.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "a"] + [f"m{k+1}" for k in range(spec.d)]
-                   + ["rho", "truncation_bound"])
-        for t, a, m, val, bound in rows:
-            w.writerow([repr(float(t)), repr(float(a))]
-                       + [repr(float(v)) for v in m]
-                       + [repr(float(val)), repr(float(bound))])
+        rows.append((float(t), float(a), *m, val, bound))
+    mdl.write_csv(outdir / "pathint.csv", ["t", "a"]
+                  + [f"m{k+1}" for k in range(spec.d)] + ["rho", "truncation_bound"],
+                  rows)
     return ["pathint.csv"]
 
 

@@ -11,7 +11,6 @@ rule, consistent with the predictable (s-) convention.
 from __future__ import annotations
 
 import bisect
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -51,11 +50,7 @@ class XPath:
         return (v[j + 1] - v[j]) / (g[j + 1] - g[j]) * (t - g[j]) + v[j]
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "x"])
-            for t, x in zip(self.grid, self.values):
-                w.writerow([repr(float(t)), repr(float(x))])
+        mdl.write_csv(path, ["t", "x"], zip(self._g, self._v))
 
 
 @dataclass
@@ -187,11 +182,7 @@ def solve_x_picard(spec: mdl.ModelSpec, T: float, dt=None, n_particles=20_000,
         dt = 1e-3 * T
     if dt <= 0 or tol <= 0:
         raise ValueError("need dt > 0 and tol > 0")
-    # pde.Grid's rule: a path that stops short of T, or has one knot, is no
-    # signal on [0, T]
-    G = int(round(T / dt))
-    if abs(T / dt - G) > 1e-9 or G < 1:
-        raise mdl.ConfigurationError("dt must divide T")
+    G = mdl.step_count(T, dt)
     ts = np.arange(G + 1) * dt
     n = n_particles
     h = spec.h

@@ -8,7 +8,6 @@ directions.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -188,11 +187,8 @@ class ConvergenceTable:
     means: dict = field(default_factory=dict)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["N", "replicate", "t", "w1"])
-            for N, rep, t, v in self.rows:
-                w.writerow([N, rep, repr(float(t)), repr(float(v))])
+        mdl.write_csv(path, ["N", "replicate", "t", "w1"],
+                      ((N, rep, float(t), float(v)) for N, rep, t, v in self.rows))
 
     def summary_json(self, **kw):
         return json.dumps({
@@ -233,15 +229,20 @@ def _replica_study(N_ladder, n_replicas, seed, t, task):
     The child seed of rung ni, replicate rep comes from
     SeedSequence(seed, spawn_key=(ni, rep)).  The tasks run serially in
     (rung, replicate) order: they are pure Python holding the GIL, and a
-    thread pool only slowed them down.
+    thread pool only slowed them down.  Raises ValueError if the ladder
+    repeats an N, whose rungs the slope fit would count as two points.
     """
     N_ladder = list(N_ladder)
-    rows = []
+    if len(set(N_ladder)) != len(N_ladder):
+        raise ValueError(f"N_ladder {N_ladder} repeats an N")
+    rows, values_by_N = [], []
     for ni, N in enumerate(N_ladder):
+        vals = []
         for rep in range(n_replicas):
             child = np.random.SeedSequence(seed, spawn_key=(ni, rep))
-            rows.append((N, rep, t, task(N, int(child.generate_state(1)[0]))))
-    values_by_N = [[v for (N, _, _, v) in rows if N == Nv] for Nv in N_ladder]
+            vals.append(task(N, int(child.generate_state(1)[0])))
+            rows.append((N, rep, t, vals[-1]))
+        values_by_N.append(vals)
     means = {Nv: float(np.mean(vals)) for Nv, vals in zip(N_ladder, values_by_N)}
     flatN = [N for (N, _, _, _) in rows]
     flatv = [v for (_, _, _, v) in rows]

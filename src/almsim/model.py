@@ -9,6 +9,7 @@ an immutable ModelSpec shared by the simulators and the PDE solvers.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -22,6 +23,16 @@ SCHEMA_VERSION = 1
 
 class ConfigurationError(ValueError):
     """Raised when a spec is internally inconsistent or not supported."""
+
+
+def step_count(T, dt):
+    """The number G >= 1 of dt steps that make up [0, T].  A dt whose T/dt is
+    more than 1e-9 from a whole G, or rounds to 0, would end a march short of
+    T or leave one knot, so it raises ConfigurationError("dt must divide T")."""
+    G = int(round(T / dt))
+    if abs(T / dt - G) > 1e-9 or G < 1:
+        raise ConfigurationError("dt must divide T")
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -796,3 +807,19 @@ def validate_assumptions(spec: ModelSpec, n_samples: int = 10_000, seed: int = 0
         },
     )
     return report
+
+
+# ---------------------------------------------------------------------------
+# artifact tables
+
+
+def write_csv(path, header, rows):
+    """Writes an artifact table: the header row, then one row per item of
+    rows.  An int or np.integer cell is written as it is, and every other
+    cell as repr(float(v)), the shortest decimal that reads back to the same
+    float64."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([v if isinstance(v, (int, np.integer)) else repr(float(v))
+                     for v in row] for row in rows)

@@ -10,7 +10,6 @@ per-candidate step of its own state form.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from collections import deque
@@ -423,21 +422,15 @@ def simulate_equivalent_hawkes(spec: mdl.ModelSpec, N: int, T: float, seed: int,
 
 def events_to_csv(record: SimulationRecord, path):
     d = record.events[0].memory_before.shape[0] if record.events else 1
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "neuron", "age_before"] + [f"m{k+1}" for k in range(d)])
-        for e in record.events:
-            w.writerow([repr(float(e.time)), e.neuron, repr(float(e.age_before))]
-                       + [repr(float(v)) for v in e.memory_before])
+    mdl.write_csv(path, ["time", "neuron", "age_before"]
+                  + [f"m{k+1}" for k in range(d)],
+                  ((e.time, e.neuron, e.age_before, *e.memory_before)
+                   for e in record.events))
 
 
 def snapshots_to_csv(record: SimulationRecord, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        d = record.snapshots[0].memories.shape[1] if record.snapshots else 1
-        w.writerow(["t", "neuron", "age"] + [f"m{k+1}" for k in range(d)] + ["X"])
-        for snap in record.snapshots:
-            for i in range(len(snap.ages)):
-                w.writerow([repr(float(snap.t)), i, repr(float(snap.ages[i]))]
-                           + [repr(float(v)) for v in snap.memories[i]]
-                           + [repr(snap.X)])
+    d = record.snapshots[0].memories.shape[1] if record.snapshots else 1
+    mdl.write_csv(path, ["t", "neuron", "age"] + [f"m{k+1}" for k in range(d)]
+                  + ["X"],
+                  ((snap.t, i, age, *mem, snap.X) for snap in record.snapshots
+                   for i, (age, mem) in enumerate(zip(snap.ages, snap.memories))))

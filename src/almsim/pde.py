@@ -12,8 +12,8 @@ the left-endpoint rule.
 
 from __future__ import annotations
 
-import csv
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -46,9 +46,7 @@ class Grid:
         k = da / self.dt
         if abs(k - round(k)) > 1e-9 or round(k) < 1:
             raise mdl.ConfigurationError("dt must divide the age cell width")
-        g = self.T / self.dt
-        if abs(g - round(g)) > 1e-9:
-            raise mdl.ConfigurationError("dt must divide T")
+        mdl.step_count(self.T, self.dt)
         if len(self.m_lo) != len(self.m_hi) or len(self.m_lo) != len(self.n_m):
             raise mdl.ConfigurationError("memory box dimension mismatch")
 
@@ -749,7 +747,7 @@ def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, u0=None,
                  for n, l in zip(nodes_list, lam)]
     jump_tab = _jump_tables(spec, nodes_list)
 
-    G = int(round(T / dt))
+    G = mdl.step_count(T, dt)
     ts = np.arange(G + 1) * dt
     kvv = np.asarray(mdl.kernel_eval(h, ts), dtype=float)
     gmod = np.asarray(mdl.modulation_eval(h, 0.0, mesh), dtype=float)
@@ -911,18 +909,10 @@ def weak_form_residual(spec: mdl.ModelSpec, grid: Grid, tests=None):
 
 def density_to_csv(sol: DensitySolution, path, stride_a=1, stride_m=1):
     grid = sol.grid
-    a = grid.a_nodes[::stride_a]
-    axes = [grid.m_nodes(k)[::stride_m] for k in range(grid.d)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "a"] + [f"m{k+1}" for k in range(grid.d)] + ["rho"])
-        for ts, rho in zip(sol.save_times, sol.rhos):
-            sub = rho[::stride_a]
-            for k in range(grid.d):
-                sub = np.take(sub, np.arange(0, rho.shape[1 + k], stride_m), axis=1 + k)
-            it = np.ndindex(*sub.shape)
-            for idxs in it:
-                row = [repr(float(ts)), repr(float(a[idxs[0]]))]
-                row += [repr(float(axes[k][idxs[1 + k]])) for k in range(grid.d)]
-                row.append(repr(float(sub[idxs])))
-                w.writerow(row)
+    strides = (slice(None, None, stride_a),) + (slice(None, None, stride_m),) * grid.d
+    axes = ([grid.a_nodes[::stride_a]]
+            + [grid.m_nodes(k)[::stride_m] for k in range(grid.d)])
+    mdl.write_csv(path, ["t", "a"] + [f"m{k+1}" for k in range(grid.d)] + ["rho"],
+                  ((ts, *node, v) for ts, rho in zip(sol.save_times, sol.rhos)
+                   for node, v in zip(itertools.product(*axes),
+                                      rho[strides].ravel())))

@@ -322,6 +322,31 @@ def test_dt_not_dividing_T_exits_with_one_error_line(command, tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["converge", "couple"])
+def test_repeated_N_in_ladder_exits_with_one_error_line(command, tmp_path,
+                                                        capsys):
+    cfg = _write_cfg(tmp_path, _base(command, N_ladder=[20, 20, 40]))
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_override=out) == cli.EXIT_VALIDATION
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == ("error: invalid config: [20, 20, 40] has non-unique "
+                        "elements")
+    assert sum(line.startswith("error:") for line in lines) == 1
+    assert not out.exists()
+
+
+def test_pathint_integer_cells_of_the_config_print_as_floats(tmp_path):
+    # the table writer keeps int cells as they are, so the command passes
+    # the config's t and a as floats
+    cfg = _write_cfg(tmp_path, _base("pathint", preset="plain-hawkes", T=1,
+                                     K_max=1, eval_points=[[1, 2, 0]]))
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_override=out) == cli.EXIT_OK
+    with open(out / "pathint.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1][:3] == ["1.0", "2.0", "0.0"]
+
+
 def test_strict_warning_manifest_lists_only_this_run(tmp_path):
     # a file left in the output directory by something else must not be
     # checksummed into the manifest of a run that ends with a warning

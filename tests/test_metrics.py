@@ -222,6 +222,16 @@ def test_convergence_study_shape_and_single_point(constant_rate_spec):
     assert table.trend_pvalue == 1.0
 
 
+def test_replica_study_rejects_repeated_N():
+    # rows grouped by the value of N counted the N = 20 mean twice in the
+    # slope fit, and the bootstrap resampled its pooled values as two rungs
+    def task(N, child):
+        raise AssertionError("task ran on a ladder that repeats an N")
+
+    with pytest.raises(ValueError, match="repeats an N"):
+        mt._replica_study([20, 20, 40], 3, 0, 1.0, task)
+
+
 def _child_seed(seed, ni, rep):
     return int(np.random.SeedSequence(seed, spawn_key=(ni, rep)).generate_state(1)[0])
 

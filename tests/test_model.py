@@ -1,6 +1,7 @@
 """Model families and assumption validators."""
 
 import ast
+import csv
 import dataclasses
 import gc
 import math
@@ -607,6 +608,42 @@ def test_only_model_reads_psi_params():
     assert not _reads_outside_model(*_PSI)
 
 
+def _csv_writer_calls(source):
+    """Calls of csv.writer or csv.DictWriter in source, through the module
+    (under any import name) or through a name imported from it."""
+    tree = ast.parse(source)
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names
+                           if a.name == "csv")
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            names.update(a.asname or a.name for a in node.names
+                         if a.name in ("writer", "DictWriter"))
+
+    def is_writer(fn):
+        return ((isinstance(fn, ast.Attribute) and fn.attr in ("writer", "DictWriter")
+                 and isinstance(fn.value, ast.Name) and fn.value.id in modules)
+                or (isinstance(fn, ast.Name) and fn.id in names))
+
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and is_writer(node.func)]
+
+
+def test_only_model_writes_csv():
+    # every artifact table goes through model.write_csv, the one place that
+    # knows the cell format
+    assert _csv_writer_calls(
+        "import csv\nimport csv as c\nfrom csv import writer as w\n"
+        "csv.writer(fh)\nc.DictWriter(fh, f)\nw(fh)\ncsv.reader(fh)\n"
+        "other.writer(fh)\n") == ["4: csv.writer(fh)", "5: c.DictWriter(fh, f)",
+                                   "6: w(fh)"]
+    assert not [f"{path.name}:{call}"
+                for path in sorted(Path(mdl.__file__).parent.glob("*.py"))
+                if path.name != "model.py"
+                for call in _csv_writer_calls(path.read_text())]
+
+
 @given(alpha=st.floats(0.01, 0.99), m=st.floats(-5.0, 5.0))
 @settings(max_examples=200, deadline=None)
 def test_affine_contraction_is_strict_contraction(alpha, m):
@@ -770,3 +807,32 @@ def test_validate_translation_ratio_is_one(interacting_spec):
     assert rep.all_pass
     # report serializes
     assert "passes" in rep.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# artifact tables
+
+
+def test_write_csv_int_cells_as_written(tmp_path):
+    path = tmp_path / "t.csv"
+    mdl.write_csv(path, ["i", "j", "k", "x"],
+                  [(3, np.int64(-4), np.int32(5), 2), (0, np.int64(2 ** 62), 1, 1.0)])
+    assert path.read_bytes() == (b"i,j,k,x\r\n3,-4,5,2\r\n"
+                                 b"0,4611686018427387904,1,1.0\r\n")
+
+
+def test_write_csv_float_cells_read_back_to_the_same_bits(tmp_path):
+    rng = np.random.default_rng(3)
+    vals = np.concatenate([
+        [np.nan, np.inf, -np.inf, 0.0, -0.0, 0.1, 1.0, 1e300, 5e-324,
+         np.finfo(float).tiny, np.nextafter(1.0, 2.0)],
+        rng.normal(0.0, 1.0, 41) * 10.0 ** rng.integers(-300, 300, 41)])
+    cells = [float(v) for v in vals[:20]] + list(vals[20:])  # float and float64
+    path = tmp_path / "t.csv"
+    mdl.write_csv(path, ["a", "b"], zip(cells[::2], cells[1::2]))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["a", "b"]
+    back = np.array([float(c) for row in rows[1:] for c in row])
+    assert back.view(np.uint64).tolist() == vals.view(np.uint64).tolist()
+    assert "np.float64" not in path.read_text()

@@ -455,6 +455,29 @@ def test_hawkes_equivalence_requires_translation():
 # CSV export
 
 
+def test_events_csv_without_events_is_header_only(tmp_path):
+    rec = prt.simulate_network(_constant_spec(rate=1.0), 1, 1e-3, seed=0)
+    assert rec.events == []
+    path = tmp_path / "events.csv"
+    prt.events_to_csv(rec, path)
+    assert path.read_bytes() == b"time,neuron,age_before,m1\r\n"
+
+
+def test_snapshots_csv_prints_float64_X_as_float(tmp_path):
+    # stp's linear-in-m modulation gives an np.float64 trace value, which
+    # was written as np.float64(...)
+    rec = prt.simulate_network(presets.preset("stp"), 5, 1.0, seed=3,
+                               save_times=[0.5, 1.0])
+    assert all(type(s.X) is np.float64 for s in rec.snapshots)
+    path = tmp_path / "snapshots.csv"
+    prt.snapshots_to_csv(rec, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "neuron", "age", "m1", "X"]
+    assert [row[-1] for row in rows[1:]] == [
+        repr(float(s.X)) for s in rec.snapshots for _ in range(5)]
+
+
 def test_events_csv_lossless(tmp_path):
     spec = _constant_spec(rate=1.5, J=0.4)
     rec = prt.simulate_network(spec, 4, 3.0, seed=17)

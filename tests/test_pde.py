@@ -810,6 +810,18 @@ def test_solvers_reject_save_times_off_the_steps(saves):
                          save_times=saves)
 
 
+@pytest.mark.parametrize("T, dt", [(1.0, 0.3), (1.0, 3.0), (0.0, 0.1)])
+def test_lm_dt_must_divide_T(T, dt):
+    # T 1 with dt 0.3 ended the march at 0.9, and dt 3 or T 0 returned a
+    # one-knot XPath
+    spec = presets.preset("plain-hawkes")
+    with pytest.raises(mdl.ConfigurationError, match="dt must divide T"):
+        pde.solve_lm_pde(spec, (-1.0,), (1.0,), (20,), T, dt)
+    with pytest.raises(mdl.ConfigurationError, match="dt must divide T"):
+        pde.Grid(a_max=6.0, n_a=2, m_lo=(-1.0,), m_hi=(1.0,), n_m=(20,),
+                 T=T, dt=dt)
+
+
 def test_lm_rejects_zero_initial_mass():
     # the same error as solve_alm_pde, not a march of NaN
     spec = presets.preset("plain-hawkes")
