@@ -87,7 +87,7 @@ def _sha256_file(path):
 
 
 def _write_manifest(outdir, cfg_bytes, spec, seed, artifacts, wall):
-    manifest = {
+    mdl.write_json(outdir / "manifest.json", {
         "schema_version": 1,
         "config_sha256": hashlib.sha256(cfg_bytes).hexdigest(),
         "spec_hash": spec.spec_hash(),
@@ -95,9 +95,7 @@ def _write_manifest(outdir, cfg_bytes, spec, seed, artifacts, wall):
         "package_version": __version__,
         "artifacts": {name: _sha256_file(outdir / name) for name in artifacts},
         "wall_time_s": wall,
-    }
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    })
 
 
 def _grid_from_numerics(num, spec):
@@ -115,8 +113,7 @@ def _grid_from_numerics(num, spec):
 def _cmd_validate(spec, num, seed, outdir):
     report = mdl.validate_assumptions(spec, n_samples=num.get("n_samples", 10_000),
                                       seed=seed)
-    with open(outdir / "validation.json", "w") as fh:
-        fh.write(report.to_json(indent=2, sort_keys=True))
+    mdl.write_json(outdir / "validation.json", vars(report))
     if not report.all_pass:
         raise mdl.ConfigurationError("assumption validation failed")
     return ["validation.json"]
@@ -127,11 +124,9 @@ def _cmd_simulate(spec, num, seed, outdir):
                                     save_times=num.get("save_times", [num["T"]]))
     particle.events_to_csv(rec, outdir / "events.csv")
     particle.snapshots_to_csv(rec, outdir / "snapshots.csv")
-    with open(outdir / "run.json", "w") as fh:
-        json.dump({"N": rec.N, "T": rec.T, "seed": rec.seed,
-                   "n_events": len(rec.events),
-                   "x_emp": [float(v) for v in rec.x_path_emp]},
-                  fh, indent=2, sort_keys=True)
+    mdl.write_json(outdir / "run.json", {
+        "N": rec.N, "T": rec.T, "seed": rec.seed, "n_events": len(rec.events),
+        "x_emp": rec.x_path_emp})
     return ["events.csv", "snapshots.csv", "run.json"]
 
 
@@ -144,8 +139,7 @@ def _picard(spec, num, seed, T):
 def _cmd_limit(spec, num, seed, outdir):
     x, report = _picard(spec, num, seed, num["T"])
     x.to_csv(outdir / "xpath.csv")
-    with open(outdir / "picard.json", "w") as fh:
-        fh.write(report.to_json(indent=2))
+    mdl.write_json(outdir / "picard.json", vars(report))
     artifacts = ["xpath.csv", "picard.json"]
     if not report.converged:
         raise _StrictWarning("fixed-point iteration did not reach tolerance",
@@ -161,13 +155,12 @@ def _cmd_pde(spec, num, seed, outdir):
                        stride_a=num.get("stride_a", 10),
                        stride_m=num.get("stride_m", 4))
     sol.x.to_csv(outdir / "xpath.csv")
-    with open(outdir / "diagnostics.json", "w") as fh:
-        json.dump({
-            "mass_trace": [float(v) for v in sol.mass_trace],
-            "flux_rel": [None if np.isnan(v) else float(v) for v in sol.flux_rel],
-            "scale_trace": [float(v) for v in sol.scale_trace],
-            "clip_mass": float(sol.clip_mass),
-        }, fh, indent=2, sort_keys=True)
+    mdl.write_json(outdir / "diagnostics.json", {
+        "mass_trace": sol.mass_trace,
+        "flux_rel": [None if np.isnan(v) else v for v in sol.flux_rel.tolist()],
+        "scale_trace": sol.scale_trace,
+        "clip_mass": sol.clip_mass,
+    })
     artifacts = ["density.csv", "xpath.csv", "diagnostics.json"]
     worst = float(np.max(np.abs(sol.mass_trace - 1.0)))
     if worst > 1e-3:
@@ -208,8 +201,7 @@ def _cmd_converge(spec, num, seed, outdir):
         num.get("n_replicas", 4), seed, cloud,
         n_directions=num.get("n_directions", 64))
     table.to_csv(outdir / "convergence.csv")
-    with open(outdir / "convergence.json", "w") as fh:
-        fh.write(table.summary_json(indent=2, sort_keys=True))
+    mdl.write_json(outdir / "convergence.json", table.summary())
     return ["convergence.csv", "convergence.json"]
 
 
@@ -220,8 +212,7 @@ def _cmd_couple(spec, num, seed, outdir):
         spec, num.get("N_ladder", [100, 400]), T, x,
         num.get("n_replicas", 4), seed)
     table.to_csv(outdir / "coupling.csv")
-    with open(outdir / "coupling.json", "w") as fh:
-        fh.write(table.summary_json(indent=2, sort_keys=True))
+    mdl.write_json(outdir / "coupling.json", table.summary())
     return ["coupling.csv", "coupling.json"]
 
 
@@ -250,6 +241,11 @@ CONFIG_SCHEMA = {
         "seed": {"type": "integer", "minimum": 0},
         "out": {"type": "string"},
     },
+    # the numerics a command reads without a default
+    "allOf": [{"if": {"properties": {"command": {"const": command}}},
+               "then": {"required": ["numerics"],
+                        "properties": {"numerics": {"required": fields}}}}
+              for command, fields in (("simulate", ["N", "T"]), ("limit", ["T"]))],
 }
 
 

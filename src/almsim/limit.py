@@ -11,7 +11,6 @@ rule, consistent with the predictable (s-) convention.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass
 
@@ -60,15 +59,6 @@ class PicardReport:
     final_delta: float
     n_particles: int
     converged: bool
-
-    def to_json(self, **kw):
-        return json.dumps({
-            "iterations": self.iterations,
-            "deltas": [float(d) for d in self.deltas],
-            "final_delta": float(self.final_delta),
-            "n_particles": self.n_particles,
-            "converged": self.converged,
-        }, **kw)
 
 
 def common_random_numbers_stream(seed, index):

@@ -9,7 +9,6 @@ directions.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -190,15 +189,12 @@ class ConvergenceTable:
         mdl.write_csv(path, ["N", "replicate", "t", "w1"],
                       ((N, rep, float(t), float(v)) for N, rep, t, v in self.rows))
 
-    def summary_json(self, **kw):
-        return json.dumps({
-            "slope": None if self.slope is None else float(self.slope),
-            "intercept": None if self.intercept is None else float(self.intercept),
-            "slope_ci": None if self.slope_ci is None else
-                        [float(self.slope_ci[0]), float(self.slope_ci[1])],
-            "trend_pvalue": float(self.trend_pvalue),
-            "means": {str(k): float(v) for k, v in self.means.items()},
-        }, **kw)
+    def summary(self):
+        """The study's record without its rows.  means is keyed by str(N):
+        the pinned records sort those keys as strings, "10" before "5"."""
+        return {"slope": self.slope, "intercept": self.intercept,
+                "slope_ci": self.slope_ci, "trend_pvalue": self.trend_pvalue,
+                "means": {str(k): v for k, v in self.means.items()}}
 
 
 def convergence_study(spec: mdl.ModelSpec, N_ladder, t_eval, n_replicas, seed,

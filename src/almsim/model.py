@@ -713,12 +713,6 @@ class ValidationReport:
     def all_pass(self):
         return all(self.passes.values())
 
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
-
 
 def _sample_states(spec: ModelSpec, rng, n):
     a = rng.exponential(2.0 * spec.psi.K / spec.psi.kappa, size=n)
@@ -810,7 +804,7 @@ def validate_assumptions(spec: ModelSpec, n_samples: int = 10_000, seed: int = 0
 
 
 # ---------------------------------------------------------------------------
-# artifact tables
+# artifact tables and records
 
 
 def write_csv(path, header, rows):
@@ -823,3 +817,17 @@ def write_csv(path, header, rows):
         w.writerow(header)
         w.writerows([v if isinstance(v, (int, np.integer)) else repr(float(v))
                      for v in row] for row in rows)
+
+
+def _json_default(v):
+    if isinstance(v, (np.ndarray, np.generic)):
+        return v.tolist()
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def write_json(path, obj):
+    """Writes an artifact record: json.dumps(obj, indent=2, sort_keys=True).
+    A numpy array or scalar is written as its tolist() value; an np.float64
+    is a float, written as its repr like every other float."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True, default=_json_default))

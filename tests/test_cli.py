@@ -335,6 +335,44 @@ def test_repeated_N_in_ladder_exits_with_one_error_line(command, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, numerics, field", [
+    ("simulate", {"T": 1.0}, "N"),
+    ("simulate", {"N": 5}, "T"),
+    ("limit", {"dt": 0.02}, "T"),
+    ("simulate", {}, "numerics"),
+], ids=["simulate-N", "simulate-T", "limit-T", "simulate-numerics"])
+def test_missing_required_numerics_field_is_named(command, numerics, field,
+                                                  tmp_path, capsys):
+    # the command read the field as num[field] and printed only its name,
+    # after it had made the output directory
+    cfg = _write_cfg(tmp_path, _base(command, **numerics))
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_override=out) == cli.EXIT_VALIDATION
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == f"error: invalid config: '{field}' is a required property"
+    assert not out.exists()
+
+
+def test_picard_json_pinned(tmp_path):
+    # the record of a small limit run, with sorted keys; the keys were once
+    # written in the field order of PicardReport, with the same values
+    cfg = _write_cfg(tmp_path, _base("limit", T=1.0, dt=0.02, n_particles=200,
+                                     tol=1e-3, max_iter=5))
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_override=out) == cli.EXIT_OK
+    data = (out / "picard.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "a452c6a3f13ba53d62801b7b0adf462a7677bfa6d3f2e852cbf1040c0eaa9c1d")
+    assert json.loads(data) == {
+        "converged": True,
+        "deltas": [0.3394204152703088, 0.035560755481351625,
+                   0.003085285063395393, 0.00018211904846232585],
+        "final_delta": 0.00018211904846232585,
+        "iterations": 4,
+        "n_particles": 200,
+    }
+
+
 def test_pathint_integer_cells_of_the_config_print_as_floats(tmp_path):
     # the table writer keeps int cells as they are, so the command passes
     # the config's t and a as floats

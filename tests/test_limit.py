@@ -1,6 +1,7 @@
 """Tests for the Picard solver and limit-process sampler."""
 
 import hashlib
+import json
 import math
 from types import SimpleNamespace
 
@@ -346,7 +347,7 @@ def test_xpath_csv_and_report_json(tmp_path, interacting_spec):
     data = np.loadtxt(p, delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 0], xp.grid)
     assert np.array_equal(data[:, 1], xp.values)
-    import json
-    meta = json.loads(rep.to_json())
+    mdl.write_json(tmp_path / "picard.json", vars(rep))
+    meta = json.loads((tmp_path / "picard.json").read_text())
     assert meta["n_particles"] == 500
     assert meta["iterations"] == len(meta["deltas"])

@@ -203,7 +203,8 @@ def test_coupling_study_no_interaction_zero(constant_rate_spec, tmp_path):
                                     n_replicas=2, seed=3)
     assert all(v == 0.0 for (_, _, _, v) in table.rows)
     assert table.slope is None
-    meta = json.loads(table.summary_json())
+    mdl.write_json(tmp_path / "t.json", table.summary())
+    meta = json.loads((tmp_path / "t.json").read_text())
     assert meta["slope"] is None
     table.to_csv(tmp_path / "t.csv")
     with open(tmp_path / "t.csv") as fh:

@@ -4,6 +4,7 @@ import ast
 import csv
 import dataclasses
 import gc
+import json
 import math
 from pathlib import Path
 
@@ -608,40 +609,70 @@ def test_only_model_reads_psi_params():
     assert not _reads_outside_model(*_PSI)
 
 
-def _csv_writer_calls(source):
-    """Calls of csv.writer or csv.DictWriter in source, through the module
-    (under any import name) or through a name imported from it."""
+# the module functions that write an artifact's format
+_FORMAT_WRITERS = {"csv": ("writer", "DictWriter"), "json": ("dump", "dumps")}
+
+
+def _artifact_writes(source):
+    """Calls in source that write an artifact: a function of
+    _FORMAT_WRITERS through its module (under any import name) or through a
+    name imported from it; open(f, mode) or x.open(mode) whose mode is not a
+    literal without w, a, x or +; and x.write_text or x.write_bytes."""
     tree = ast.parse(source)
-    modules, names = set(), set()
+    modules, names = {}, set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            modules.update(a.asname or a.name for a in node.names
-                           if a.name == "csv")
-        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            modules.update((a.asname or a.name, _FORMAT_WRITERS[a.name])
+                           for a in node.names if a.name in _FORMAT_WRITERS)
+        elif isinstance(node, ast.ImportFrom) and node.module in _FORMAT_WRITERS:
             names.update(a.asname or a.name for a in node.names
-                         if a.name in ("writer", "DictWriter"))
+                         if a.name in _FORMAT_WRITERS[node.module])
 
-    def is_writer(fn):
-        return ((isinstance(fn, ast.Attribute) and fn.attr in ("writer", "DictWriter")
-                 and isinstance(fn.value, ast.Name) and fn.value.id in modules)
-                or (isinstance(fn, ast.Name) and fn.id in names))
+    def opens_for_writing(call):
+        fn = call.func
+        at = (1 if isinstance(fn, ast.Name) and fn.id == "open" else
+              0 if isinstance(fn, ast.Attribute) and fn.attr == "open" else None)
+        if at is None:
+            return False
+        mode = ([k.value for k in call.keywords if k.arg == "mode"]
+                or call.args[at:at + 1])
+        return bool(mode) and not (isinstance(mode[0], ast.Constant)
+                                   and not set("wax+") & set(str(mode[0].value)))
+
+    def writes(call):
+        fn = call.func
+        return ((isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name)
+                 and fn.attr in modules.get(fn.value.id, ()))
+                or (isinstance(fn, ast.Name) and fn.id in names)
+                or (isinstance(fn, ast.Attribute)
+                    and fn.attr in ("write_text", "write_bytes"))
+                or opens_for_writing(call))
 
     return [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and is_writer(node.func)]
+            if isinstance(node, ast.Call) and writes(node)]
 
 
 def test_only_model_writes_csv():
-    # every artifact table goes through model.write_csv, the one place that
-    # knows the cell format
-    assert _csv_writer_calls(
+    # every artifact goes through model.write_csv or model.write_json, the
+    # two places that know the table and record formats: no other module
+    # calls a csv writer or json.dump(s), or opens a file for writing
+    assert _artifact_writes(
         "import csv\nimport csv as c\nfrom csv import writer as w\n"
         "csv.writer(fh)\nc.DictWriter(fh, f)\nw(fh)\ncsv.reader(fh)\n"
         "other.writer(fh)\n") == ["4: csv.writer(fh)", "5: c.DictWriter(fh, f)",
                                    "6: w(fh)"]
+    assert _artifact_writes(
+        "import json as j\nfrom json import dump\nj.dumps(o)\ndump(o, fh)\n"
+        "j.loads(s)\ncsv.dumps(o)\nopen(p, 'w')\nopen(p, mode='a')\n"
+        "open(p, m)\nopen(p, 'rb')\nopen(p)\nq.open('x')\nq.open()\n"
+        "q.write_text(s)\nq.read_bytes()\n") == [
+            "3: j.dumps(o)", "4: dump(o, fh)", "7: open(p, 'w')",
+            "8: open(p, mode='a')", "9: open(p, m)", "12: q.open('x')",
+            "14: q.write_text(s)"]
     assert not [f"{path.name}:{call}"
                 for path in sorted(Path(mdl.__file__).parent.glob("*.py"))
                 if path.name != "model.py"
-                for call in _csv_writer_calls(path.read_text())]
+                for call in _artifact_writes(path.read_text())]
 
 
 @given(alpha=st.floats(0.01, 0.99), m=st.floats(-5.0, 5.0))
@@ -801,12 +832,13 @@ def test_validate_expanding_jump_fails():
     assert rep.lip_gamma == pytest.approx(2.0, abs=1e-9)
 
 
-def test_validate_translation_ratio_is_one(interacting_spec):
+def test_validate_translation_ratio_is_one(interacting_spec, tmp_path):
     rep = mdl.validate_assumptions(interacting_spec, n_samples=5000, seed=2)
     assert rep.lip_gamma == pytest.approx(1.0, abs=1e-12)
     assert rep.all_pass
     # report serializes
-    assert "passes" in rep.to_dict()
+    mdl.write_json(tmp_path / "v.json", vars(rep))
+    assert json.loads((tmp_path / "v.json").read_text())["passes"] == rep.passes
 
 
 # ---------------------------------------------------------------------------
@@ -836,3 +868,37 @@ def test_write_csv_float_cells_read_back_to_the_same_bits(tmp_path):
     back = np.array([float(c) for row in rows[1:] for c in row])
     assert back.view(np.uint64).tolist() == vals.view(np.uint64).tolist()
     assert "np.float64" not in path.read_text()
+
+
+def test_write_json_plain_input_is_json_dumps(tmp_path):
+    obj = {"b": [1, 2.5, None, True, "s"], "a": {"z": 1, "y": [0.1, -0.0]},
+           "c": math.nan, "d": -math.inf, "10": 1e300, "5": []}
+    path = tmp_path / "r.json"
+    mdl.write_json(path, obj)
+    assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_write_json_numpy_values_as_python_values(tmp_path):
+    rng = np.random.default_rng(4)
+    vals = np.concatenate([
+        [np.nan, np.inf, -np.inf, 0.0, -0.0, 0.1, 1e300, 5e-324,
+         np.nextafter(1.0, 2.0)],
+        rng.normal(0.0, 1.0, 41) * 10.0 ** rng.integers(-300, 300, 41)])
+    path = tmp_path / "r.json"
+    mdl.write_json(path, {"arr": vals, "f": vals[5], "grid": np.arange(4).reshape(2, 2),
+                          "i": np.int64(2 ** 62), "i32": np.int32(-3),
+                          "ok": np.bool_(True), "no": np.bool_(False)})
+    back = json.loads(path.read_text())
+    assert back["grid"] == [[0, 1], [2, 3]]
+    assert back["i"] == 2 ** 62 and type(back["i"]) is int
+    assert back["i32"] == -3 and type(back["i32"]) is int
+    assert back["ok"] is True and back["no"] is False
+    assert back["f"] == 0.1 and "np.float64" not in path.read_text()
+    assert (np.array(back["arr"]).view(np.uint64).tolist()
+            == vals.view(np.uint64).tolist())
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, np.datetime64("2020-01-01")])
+def test_write_json_unsupported_object_raises_type_error(value, tmp_path):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        mdl.write_json(tmp_path / "r.json", {"x": value})
