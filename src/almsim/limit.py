@@ -223,6 +223,8 @@ def simulate_limit_process(spec: mdl.ModelSpec, x: XPath, n: int, seed: int,
                            save_times) -> LimitTrajectories:
     """n i.i.d. trajectories of the limit jump-drift process given x."""
     save_times = np.asarray(sorted(save_times), dtype=float)
+    if not (save_times.size and save_times[0] >= 0.0):
+        raise ValueError("save times must be nonempty and nonnegative")
     T = float(save_times[-1])
     if x.grid[-1] < T - 1e-12:
         raise ValueError("x path does not cover the requested horizon")

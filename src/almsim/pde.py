@@ -49,6 +49,7 @@ class Grid:
         mdl.step_count(self.T, self.dt)
         if len(self.m_lo) != len(self.m_hi) or len(self.m_lo) != len(self.n_m):
             raise mdl.ConfigurationError("memory box dimension mismatch")
+        _check_box(self.m_lo, self.m_hi)
 
     @property
     def d(self):
@@ -64,7 +65,16 @@ class Grid:
 
     @property
     def n_steps(self):
-        return int(round(self.T / self.dt))
+        return mdl.step_count(self.T, self.dt)
+
+
+def _check_box(m_lo, m_hi):
+    """Raises ConfigurationError naming the first memory axis that is empty
+    or reversed; the march would only see it as a density of no mass."""
+    for k, (lo, hi) in enumerate(zip(m_lo, m_hi)):
+        if not hi > lo:
+            raise mdl.ConfigurationError(
+                f"memory axis {k + 1} needs m_hi > m_lo, got [{lo:g}, {hi:g}]")
 
 
 def _trapz_weights(nodes):
@@ -95,8 +105,8 @@ class _RemapTable:
     and highest targets clipped to the box (see _remap_table), with zero
     weights when no target is inside.  fill is one on the in-box targets
     and zero elsewhere, scaled to unit trapezoid mass, or zero when no
-    target is inside.  A stacked table (see _stack_tables) has one more
-    leading axis on every field but h and trapz.
+    target is inside.  A stacked table (targets of shape (R, n) in
+    _remap_table) has one more leading axis on every field but h and trapz.
     """
     h: float
     idx: np.ndarray
@@ -110,6 +120,9 @@ class _RemapTable:
 
 def _remap_table(nodes, targets, dslope):
     """Weights of _mass_remap for one axis; nodes must be uniformly spaced.
+
+    targets of shape (n,) give a shared table, and of shape (R, n), with
+    dslope a scalar, (R, 1) or (R, n), a stacked one: row r for targets[r].
 
     The remap keeps the source mass between its two mass ends, the
     outermost targets clipped to the box.  So the source cells past the
@@ -135,15 +148,21 @@ def _remap_table(nodes, targets, dslope):
     s = np.clip((tc - nodes[idx]) / h, 0.0, 1.0)
     scale = np.abs(dslope) * inside
     trapz = _trapz_weights(nodes)
-    sel = [np.argmin(tc), np.argmax(tc)]
-    i, u = idx[sel], s[sel]
+    sel = np.stack([np.argmin(tc, axis=-1), np.argmax(tc, axis=-1)], axis=-1)
+    i, u = np.take_along_axis(idx, sel, -1), np.take_along_axis(s, sel, -1)
     # Hermite basis at u: values of y[i], y[i+1] and h*d[i], h*d[i+1]; zero
     # weights when no target is inside, which leave the all-zero result be
-    sign = np.array([-1.0, 1.0]) * inside.any()
-    wy = sign * np.stack([(1 - u) ** 2 * (1 + 2 * u), u * u * (3 - 2 * u)])
-    wd = sign * h * np.stack([u * (1 - u) ** 2, -u * u * (1 - u)])
-    ends = (np.concatenate([i, i + 1]), wy.ravel(), wd.ravel())
-    fill = inside / float(trapz @ inside) if inside.any() else np.zeros(t.shape)
+    live = inside.any(axis=-1, keepdims=True)
+    sign = (np.array([-1.0, 1.0]) * live)[..., None, :]
+    wy = sign * np.stack([(1 - u) ** 2 * (1 + 2 * u), u * u * (3 - 2 * u)], -2)
+    wd = sign * h * np.stack([u * (1 - u) ** 2, -u * u * (1 - u)], -2)
+    four = t.shape[:-1] + (4,)
+    ends = (np.concatenate([i, i + 1], -1), wy.reshape(four), wd.reshape(four))
+    # each row's mass by its own dot product: a matrix product of the stack
+    # sums in another order and changes the last bit of some rows
+    den = np.array([trapz @ r for r in inside.reshape(-1, nodes.size)])
+    fill = np.divide(inside, den.reshape(live.shape), out=np.zeros(t.shape),
+                     where=live)
     return _RemapTable(h, idx, 6 * s * (1 - s) * scale,
                        (1 - s) * (1 - 3 * s) * scale, s * (3 * s - 2) * scale,
                        trapz, ends, fill)
@@ -224,7 +243,7 @@ def _mass_remap(arr, tab: _RemapTable, axis):
     cumulative sum, the slopes and a weighted gather.
 
     tab is shared, one table for every slice, or stacked (see
-    _stack_tables), row r for the slices of index r of arr's leading axis.
+    _remap_table), row r for the slices of index r of arr's leading axis.
     Only the gather differs: a shared table indexes v[..., i], a stacked
     one gathers each row's cells from the flat array.
 
@@ -261,15 +280,6 @@ def _mass_remap(arr, tab: _RemapTable, axis):
              + np.einsum("...i,...i->...", take(d, ie), rows(wd)))
     _match_mass(vals, exact, tab.trapz, rows(tab.fill))
     return np.moveaxis(vals, -1, axis)
-
-
-def _stack_tables(tabs):
-    """The tables of one axis stacked into one, row r holding tabs[r]."""
-    fields = [np.stack([getattr(t, f) for t in tabs])
-              for f in ("idx", "w_m", "w_0", "w_1")]
-    return _RemapTable(tabs[0].h, *fields, tabs[0].trapz,
-                       tuple(np.stack(e) for e in zip(*(t.ends for t in tabs))),
-                       np.stack([t.fill for t in tabs]))
 
 
 def _table_rows(tab, key):
@@ -494,12 +504,10 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
     # of the border sweeps
     nodes_list = [grid.m_nodes(k) for k in range(d)]
     wm = [_trapz_weights(nodes) for nodes in nodes_list]
-    border_tabs = [_stack_tables([_remap_table(n, s * tg, s * ds)
-                                  for s in scales[:, k]])
-                   for k, (n, (tg, ds))
-                   in enumerate(zip(nodes_list, _jump_pulls(spec, nodes_list)))]
-    to_m_tabs = [_stack_tables([_remap_table(n, s * n, s) for s in scales[:, k]])
-                 for k, n in enumerate(nodes_list)]
+    col = [scales[:, k, None] for k in range(d)]
+    border_tabs = [_remap_table(n, s * tg, s * ds) for n, s, (tg, ds)
+                   in zip(nodes_list, col, _jump_pulls(spec, nodes_list))]
+    to_m_tabs = [_remap_table(n, s * n, s) for n, s in zip(nodes_list, col)]
     jump_tab = [_table_rows(t, 0) for t in border_tabs]
 
     a_mid = (a_nodes[1:] - dt / 2.0).reshape((na - 1,) + (1,) * d)
@@ -727,6 +735,7 @@ def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, u0=None,
         raise mdl.ConfigurationError("memory-only solver needs age-independent f")
     d = spec.d
     m_lo, m_hi, n_m = tuple(m_lo), tuple(m_hi), tuple(n_m)
+    _check_box(m_lo, m_hi)
     nodes_list = [np.linspace(m_lo[k], m_hi[k], n_m[k] + 1) for k in range(d)]
     mesh = np.stack(np.meshgrid(*nodes_list, indexing="ij"), axis=-1)
     shape_m = mesh.shape[:-1]

@@ -223,6 +223,20 @@ def test_unreachable_save_time_rejected(command, numerics, artifact, tmp_path):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("m_hi", [-1.0, 1.0], ids=["reversed", "empty"])
+def test_pde_empty_memory_box_exits_naming_the_axis(m_hi, tmp_path, capsys):
+    # the box reached the march and was reported as "initial density has
+    # nonpositive mass"
+    cfg = _write_cfg(tmp_path, _base(
+        "pde", preset="plain-hawkes", T=0.2, dt=0.1, a_max=2.0, n_a=20,
+        m_lo=[1.0], m_hi=[m_hi], n_m=[20]))
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_override=out) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: memory axis 1 needs m_hi > m_lo, got [1, {m_hi:g}]\n"
+    assert not (out / "density.csv").exists()
+
+
 def test_events_csv_matches_direct_simulation(tmp_path):
     cfg = _write_cfg(tmp_path, _base("simulate", N=8, T=2.0))
     out = tmp_path / "out"

@@ -292,6 +292,19 @@ def test_limit_process_horizon_check(constant_rate_spec):
                                    save_times=[2.0])
 
 
+@pytest.mark.parametrize("save_times", [[], [-0.5, 1.0]],
+                         ids=["empty", "negative"])
+def test_limit_process_rejects_unservable_save_times(constant_rate_spec,
+                                                     save_times):
+    # [] raised IndexError, and t = -0.5 came back with every age and
+    # memory 0
+    ts = np.linspace(0.0, 1.0, 101)
+    xp = lim.XPath(ts, np.zeros_like(ts))
+    with pytest.raises(ValueError, match="nonempty and nonnegative"):
+        lim.simulate_limit_process(constant_rate_spec, xp, n=10, seed=0,
+                                   save_times=save_times)
+
+
 # ---------------------------------------------------------------------------
 # signal path
 

@@ -629,13 +629,122 @@ def test_stacked_remap_matches_shared_tables(axis):
     nodes = [np.linspace(-1.5, 0.5, 21), np.linspace(-0.5, 1.0, 17)]
     n = nodes[axis - 1]
     arr = rng.random((5, 21, 17)) * (rng.random((5, 21, 17)) < 0.8)
-    tabs = [pde._remap_table(n, s * (n + 0.3), s) for s in (1.0, 1.1, 2.5, 6.0)]
-    tabs.append(pde._remap_table(n, n + 10.0, 1.0))
-    got = pde._mass_remap(arr, pde._stack_tables(tabs), axis)
+    sc = np.array([1.0, 1.1, 2.5, 6.0])
+    tg = np.vstack([sc[:, None] * (n + 0.3), n + 10.0])
+    ds = np.append(sc, 1.0)[:, None]
+    tabs = [pde._remap_table(n, t, s) for t, s in zip(tg, ds[:, 0])]
+    got = pde._mass_remap(arr, pde._remap_table(n, tg, ds), axis)
     for r, tab in enumerate(tabs):
         ref = pde._mass_remap(arr[r], tab, axis - 1)
         assert np.abs(got[r] - ref).max() <= 1e-14 * np.abs(ref).max()
     assert not got[-1].any() and got[-2].any()
+
+
+def _stacked_rows(nodes, targets, dslopes):
+    """Row r's shared table for every r, stacked field by field."""
+    tabs = [pde._remap_table(nodes, t, ds) for t, ds in zip(targets, dslopes)]
+    stack = {f: np.stack([getattr(t, f) for t in tabs])
+             for f in ("idx", "w_m", "w_0", "w_1", "fill")}
+    stack["ends"] = tuple(np.stack(e) for e in zip(*(t.ends for t in tabs)))
+    return tabs[0], stack
+
+
+def _row_cases(case):
+    """(nodes, targets (R, n), dslope (R, 1) or (R, n)) of one axis."""
+    if case.startswith("d2"):
+        k = int(case[-1])
+        g = _d2_grid(1.0)
+        nodes = [g.m_nodes(j) for j in range(2)]
+        tg, ds = pde._jump_pulls(_d2_spec(), nodes)[k]
+        sc = np.exp(np.arange(41) * 0.1 * _d2_spec().lam[k])[:, None]
+        return nodes[k], sc * tg, sc * ds
+    if case == "custom":
+        spec, g, _ = _block_case("custom-jump")
+        nodes = g.m_nodes(0)
+        (tg, ds), = pde._jump_pulls(spec, [nodes])
+        sc = np.exp(np.arange(30) * 0.2)[:, None]
+        return nodes, sc * tg, sc * ds
+    nodes = np.linspace(-3.5, 0.5, 201)
+    h = nodes[1] - nodes[0]
+    sc = np.exp(np.arange(8) * 0.3)
+    rows = [s * nodes for s in sc] + [
+        nodes + 100.0,                                   # no in-box target
+        nodes[7] + 1e3 * (nodes - nodes[7]) + 0.25 * h,  # a single one
+        np.where(nodes < -1.5, -1e9, 1e9),               # far out, both sides
+        np.full(nodes.size, -1e9),                       # far out, one side
+        nodes[::-1] * 40.0,                              # reversed, spread out
+        # 193 in-box targets: a stacked matrix-vector product gives a fill
+        # normalizer one bit off the row's own dot product
+        nodes + 8 * h]
+    ds = np.append(sc, [1.0, 3.0, 1.0, 1.0, -40.0, 1.0])[:, None]
+    return nodes, np.array(rows), ds
+
+
+@pytest.mark.parametrize("case", ["edges", "custom", "d2-axis0", "d2-axis1"])
+def test_stacked_table_keeps_the_bits_of_its_rows(case):
+    # one array pass over the rows gives each field of every row's own
+    # shared table, dtype, ends and fill included
+    nodes, tg, ds = _row_cases(case)
+    got = pde._remap_table(nodes, tg, ds)
+    row, ref = _stacked_rows(nodes, tg, ds[:, 0] if ds.shape[1] == 1 else ds)
+    assert got.h == row.h and np.array_equal(got.trapz, row.trapz)
+    for f in ("idx", "w_m", "w_0", "w_1", "fill"):
+        a, b = getattr(got, f), ref[f]
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b), f
+    for a, b in zip(got.ends, ref["ends"], strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    if case == "edges":
+        assert not got.fill[8].any() and np.count_nonzero(got.fill[9]) == 1
+        assert not got.fill[10:12].any() and not got.ends[1][10:12].any()
+
+
+def test_solve_builds_its_tables_in_one_call_per_axis_and_pull(monkeypatch):
+    # the march's per-index tables come from one _remap_table call each, so
+    # the count does not grow with the number of steps
+    calls = []
+    real = pde._remap_table
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pde, "_remap_table", counting)
+    d1 = pde.Grid(a_max=6.0, n_a=60, m_lo=(-2.0,), m_hi=(0.5,), n_m=(40,),
+                  T=0.5, dt=0.1)
+    for spec, g in ((presets.preset("adaptation-1d"), d1),
+                    (_d2_spec(), _d2_grid(0.5))):
+        counts = []
+        for G in (5, 50):
+            calls.clear()
+            pde.solve_alm_pde(spec, dataclasses.replace(g, T=G * g.dt))
+            counts.append(len(calls))
+        assert counts[0] == counts[1], counts
+
+
+_EMPTY_BOXES = pytest.mark.parametrize("m_lo, m_hi, axis", [
+    ((1.0,), (-1.0,), 1), ((0.5,), (0.5,), 1), ((-1.0, 0.2), (1.0, 0.2), 2)],
+    ids=["reversed", "empty", "d2-axis2"])
+
+
+@_EMPTY_BOXES
+def test_grid_rejects_empty_memory_box_naming_the_axis(m_lo, m_hi, axis):
+    # the box reached the march, which reported "initial density has
+    # nonpositive mass" even for u0 = 1
+    with pytest.raises(mdl.ConfigurationError,
+                       match=f"memory axis {axis} needs m_hi > m_lo"):
+        pde.Grid(a_max=2.0, n_a=20, m_lo=m_lo, m_hi=m_hi, n_m=(20,) * len(m_lo),
+                 T=0.2, dt=0.1)
+
+
+@_EMPTY_BOXES
+def test_lm_rejects_empty_memory_box_naming_the_axis(m_lo, m_hi, axis):
+    spec = presets.preset("plain-hawkes") if len(m_lo) == 1 else dataclasses.replace(
+        _d2_spec(), f=mdl.IntensitySpec(family="constant", f_min=1.0, f_max=1.0))
+    with pytest.raises(mdl.ConfigurationError,
+                       match=f"memory axis {axis} needs m_hi > m_lo"):
+        pde.solve_lm_pde(spec, m_lo, m_hi, (20,) * len(m_lo), 0.2, 0.1,
+                         u0=lambda mesh: np.ones(mesh.shape[:-1]))
 
 
 # ---------------------------------------------------------------------------
