@@ -27,38 +27,19 @@ EXIT_STRICT = 3
 EXIT_MISSING = 4
 EXIT_DOWNSTREAM = 5
 
-_NUMERICS_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "N": {"type": "integer", "minimum": 1},
-        "T": {"type": "number", "exclusiveMinimum": 0},
-        "dt": {"type": "number", "exclusiveMinimum": 0},
-        "save_times": {"type": "array", "items": {"type": "number", "minimum": 0}},
-        "n_particles": {"type": "integer", "minimum": 1},
-        "tol": {"type": "number", "exclusiveMinimum": 0},
-        "max_iter": {"type": "integer", "minimum": 1},
-        "a_max": {"type": "number", "exclusiveMinimum": 0},
-        "n_a": {"type": "integer", "minimum": 1},
-        "m_lo": {"type": "array", "items": {"type": "number"}},
-        "m_hi": {"type": "array", "items": {"type": "number"}},
-        "n_m": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "K_max": {"type": "integer", "minimum": 0},
-        "tail_epsilon": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "t_eval": {"type": "number", "minimum": 0},
-        "eval_points": {"type": "array",
-                        "items": {"type": "array", "items": {"type": "number"}}},
-        "N_ladder": {"type": "array", "uniqueItems": True,
-                     "items": {"type": "integer", "minimum": 1}},
-        "n_replicas": {"type": "integer", "minimum": 1},
-        "n_directions": {"type": "integer", "minimum": 1},
-        "n_samples": {"type": "integer", "minimum": 1},
-        # accepted for old configs and ignored: replicas run serially
-        "threads": {"type": "integer", "minimum": 1},
-        "stride_a": {"type": "integer", "minimum": 1},
-        "stride_m": {"type": "integer", "minimum": 1},
-    },
-}
+# field schemas shared by the numerics of several commands
+_COUNT = {"type": "integer", "minimum": 1}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_NUMBERS = {"type": "array", "items": {"type": "number"}}
+_TIMES = {"type": "array", "items": {"type": "number", "minimum": 0}}
+# the numerics read by _grid_from_numerics, by _picard and by the replica studies
+_GRID = {"a_max": _POSITIVE, "n_a": _COUNT, "m_lo": _NUMBERS, "m_hi": _NUMBERS,
+         "n_m": {"type": "array", "items": _COUNT}, "T": _POSITIVE, "dt": _POSITIVE}
+_PICARD = {"dt": _POSITIVE, "n_particles": _COUNT, "tol": _POSITIVE,
+           "max_iter": _COUNT}
+_LADDER = {"N_ladder": {"type": "array", "uniqueItems": True, "items": _COUNT},
+           "n_replicas": _COUNT}
+
 
 class _StrictWarning(RuntimeError):
     """A numerical tolerance miss after the command wrote its artifacts."""
@@ -216,10 +197,24 @@ def _cmd_couple(spec, num, seed, outdir):
     return ["coupling.csv", "coupling.json"]
 
 
-# in the order of the schema's command enum, which its error messages list
-_COMMANDS = {"simulate": _cmd_simulate, "limit": _cmd_limit, "pde": _cmd_pde,
-             "pathint": _cmd_pathint, "converge": _cmd_converge,
-             "couple": _cmd_couple, "validate": _cmd_validate}
+# command: (handler, the numerics it reads, those it reads without a
+# default), in the order of the schema's command enum, which its error
+# messages list
+_COMMANDS = {
+    "simulate": (_cmd_simulate, {"N": _COUNT, "T": _POSITIVE, "save_times": _TIMES},
+                 ("N", "T")),
+    "limit": (_cmd_limit, {"T": _POSITIVE, **_PICARD}, ("T",)),
+    "pde": (_cmd_pde, {**_GRID, "save_times": _TIMES, "stride_a": _COUNT,
+                       "stride_m": _COUNT}, ()),
+    "pathint": (_cmd_pathint, {
+        "T": _POSITIVE, "K_max": {"type": "integer", "minimum": 0},
+        "tail_epsilon": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+        "eval_points": {"type": "array", "items": _NUMBERS}}, ()),
+    "converge": (_cmd_converge, {**_GRID, "t_eval": {"type": "number", "minimum": 0},
+                                 **_LADDER, "n_directions": _COUNT}, ()),
+    "couple": (_cmd_couple, {"T": _POSITIVE, **_PICARD, **_LADDER}, ()),
+    "validate": (_cmd_validate, {"n_samples": _COUNT}, ()),
+}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -237,15 +232,19 @@ CONFIG_SCHEMA = {
                  "not": {"required": ["preset"]}},
             ]
         },
-        "numerics": _NUMERICS_SCHEMA,
+        "numerics": {"type": "object"},
         "seed": {"type": "integer", "minimum": 0},
         "out": {"type": "string"},
     },
-    # the numerics a command reads without a default
-    "allOf": [{"if": {"properties": {"command": {"const": command}}},
-               "then": {"required": ["numerics"],
-                        "properties": {"numerics": {"required": fields}}}}
-              for command, fields in (("simulate", ["N", "T"]), ("limit", ["T"]))],
+    # the numerics of each command: the fields it reads and threads, which
+    # every command accepts for old configs and ignores (replicas run serially)
+    "allOf": [{"if": {"required": ["command"], "properties": {"command": {"const": c}}},
+               "then": {"required": ["numerics"] if required else [],
+                        "properties": {"numerics": {
+                            "type": "object", "additionalProperties": False,
+                            "required": list(required),
+                            "properties": {**fields, "threads": _COUNT}}}}}
+              for c, (_, fields, required) in _COMMANDS.items()],
 }
 
 
@@ -294,12 +293,12 @@ def run(config_path, seed_override=None, out_override=None, strict=False,
     start = time.monotonic()
     strict_msg = None
     try:
-        artifacts = _COMMANDS[cfg["command"]](spec, num, seed, outdir)
+        artifacts = _COMMANDS[cfg["command"]][0](spec, num, seed, outdir)
     except _StrictWarning as exc:
         # the artifacts are complete; a strict run treats the warning as fatal
         strict_msg = str(exc)
         artifacts = exc.artifacts
-    except (mdl.ConfigurationError, KeyError, ValueError) as exc:
+    except (mdl.ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # downstream numerical failure

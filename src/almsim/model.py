@@ -426,38 +426,48 @@ def _log_gauss_mass(a, b):
 class InitialLaw:
     """Product law for (A_0, M_0): a named age law times per-dimension memory laws.
 
-    age: ("exponential", rate) or ("uniform", lo, hi)
-    mem: tuple of per-dimension laws, each ("uniform", lo, hi) or
-         ("truncnorm", mean, sd, lo, hi)
+    age: ("exponential", rate > 0) or ("uniform", lo, hi), 0 <= lo < hi
+    mem: tuple of per-dimension laws, each ("uniform", lo, hi), lo < hi, or
+         ("truncnorm", mean, sd, lo, hi), sd > 0 and lo < hi
     """
 
     age: tuple = ("exponential", 1.0)
     mem: tuple = (("uniform", -1.0, 0.0),)
+
+    def __post_init__(self):
+        age = self.age
+        if not ((len(age) == 2 and age[0] == "exponential" and age[1] > 0)
+                or (len(age) == 3 and age[0] == "uniform" and 0 <= age[1] < age[2])):
+            raise ConfigurationError(
+                f"age law {age} is not ('exponential', rate > 0) or "
+                f"('uniform', lo, hi) with 0 <= lo < hi")
+        for law in self.mem:
+            if not ((len(law) == 3 and law[0] == "uniform" and law[1] < law[2])
+                    or (len(law) == 5 and law[0] == "truncnorm" and law[2] > 0
+                        and law[3] < law[4])):
+                raise ConfigurationError(
+                    f"memory law {law} is not ('uniform', lo, hi) with lo < hi "
+                    f"or ('truncnorm', mean, sd, lo, hi) with sd > 0 and lo < hi")
 
     @property
     def d(self):
         return len(self.mem)
 
     def sample(self, rng, n):
-        kind = self.age[0]
-        if kind == "exponential":
+        if self.age[0] == "exponential":
             ages = rng.exponential(1.0 / self.age[1], size=n)
-        elif kind == "uniform":
-            ages = rng.uniform(self.age[1], self.age[2], size=n)
         else:
-            raise ConfigurationError(f"unknown age law {kind!r}")
+            ages = rng.uniform(self.age[1], self.age[2], size=n)
         if any(law[0] == "truncnorm" for law in self.mem):
             from scipy.stats import truncnorm
         cols = []
         for law in self.mem:
             if law[0] == "uniform":
                 cols.append(rng.uniform(law[1], law[2], size=n))
-            elif law[0] == "truncnorm":
+            else:
                 mean, sd, lo, hi = law[1:]
                 a, b = (lo - mean) / sd, (hi - mean) / sd
                 cols.append(truncnorm.rvs(a, b, loc=mean, scale=sd, size=n, random_state=rng))
-            else:
-                raise ConfigurationError(f"unknown memory law {law[0]!r}")
         return ages, np.stack(cols, axis=-1)
 
     def density_age(self, a):
@@ -478,8 +488,6 @@ class InitialLaw:
                 fk = np.where((mk >= lo) & (mk <= hi), 1.0 / (hi - lo), 0.0)
             else:
                 mean, sd, lo, hi = law[1:]
-                if not (sd > 0 and lo < hi):
-                    raise ConfigurationError(f"truncnorm law {law} needs sd > 0 and lo < hi")
                 a, b = (lo - mean) / sd, (hi - mean) / sd
                 z = (mk - mean) / sd
                 # scipy.stats.truncnorm.pdf's arithmetic, with the mass once,
@@ -660,6 +668,9 @@ class ModelSpec:
         version = data.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ConfigurationError(f"unsupported schema_version {version}")
+        unknown = sorted(set(data) - {f_.name for f_ in dataclasses.fields(ModelSpec)})
+        if unknown:
+            raise ConfigurationError(f"unknown model fields {unknown}")
 
         def tup(x):
             return tuple(tup(v) if isinstance(v, list) else v for v in x)

@@ -47,9 +47,7 @@ class Grid:
         if abs(k - round(k)) > 1e-9 or round(k) < 1:
             raise mdl.ConfigurationError("dt must divide the age cell width")
         mdl.step_count(self.T, self.dt)
-        if len(self.m_lo) != len(self.m_hi) or len(self.m_lo) != len(self.n_m):
-            raise mdl.ConfigurationError("memory box dimension mismatch")
-        _check_box(self.m_lo, self.m_hi)
+        _check_box(self.m_lo, self.m_hi, self.n_m, len(self.m_lo))
 
     @property
     def d(self):
@@ -68,9 +66,12 @@ class Grid:
         return mdl.step_count(self.T, self.dt)
 
 
-def _check_box(m_lo, m_hi):
-    """Raises ConfigurationError naming the first memory axis that is empty
-    or reversed; the march would only see it as a density of no mass."""
+def _check_box(m_lo, m_hi, n_m, d):
+    """Raises ConfigurationError if m_lo, m_hi and n_m do not each have d
+    entries, or naming the first memory axis that is empty or reversed; the
+    march would only see such an axis as a density of no mass."""
+    if not len(m_lo) == len(m_hi) == len(n_m) == d:
+        raise mdl.ConfigurationError("memory box dimension mismatch")
     for k, (lo, hi) in enumerate(zip(m_lo, m_hi)):
         if not hi > lo:
             raise mdl.ConfigurationError(
@@ -735,7 +736,7 @@ def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, u0=None,
         raise mdl.ConfigurationError("memory-only solver needs age-independent f")
     d = spec.d
     m_lo, m_hi, n_m = tuple(m_lo), tuple(m_hi), tuple(n_m)
-    _check_box(m_lo, m_hi)
+    _check_box(m_lo, m_hi, n_m, d)
     nodes_list = [np.linspace(m_lo[k], m_hi[k], n_m[k] + 1) for k in range(d)]
     mesh = np.stack(np.meshgrid(*nodes_list, indexing="ij"), axis=-1)
     shape_m = mesh.shape[:-1]

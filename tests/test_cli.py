@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+from collections.abc import Mapping
 from pathlib import Path
 
 import jsonschema
@@ -115,6 +116,44 @@ def test_schema_error_message_matches_jsonschema_validate(bad, tmp_path,
         assert cli.run(cfg, out_override=tmp_path / "o") == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err == f"error: invalid config: {want.value}\n"
+
+
+def test_inline_model_unknown_key_rejected(tmp_path, capsys):
+    # the key was dropped and the run went on with the model without it
+    c = _base("validate")
+    c["model"] = dict(presets.preset("plain-hawkes").to_dict(), seed=99)
+    cfg = _write_cfg(tmp_path, c)
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_override=out) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: invalid config: unknown model fields ['seed']\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, field, law", [
+    ("pathint", "mem", [["uniform", 0.0, -1.0]]),
+    ("pde", "age", ["gamma", 1.0]),
+    ("pde", "age", ["exponential", -1.0]),
+], ids=["pathint-reversed-mem", "pde-gamma-age", "pde-negative-rate"])
+def test_initial_law_it_cannot_evaluate_rejected(command, field, law,
+                                                 tmp_path, capsys):
+    # the pathint run wrote rho 0.0 and exited 0, the gamma law exited 5
+    # with an IndexError, and the negative rate exited 2 only because its
+    # density had no mass on the grid
+    numerics = dict(T=0.2, dt=0.1, a_max=2.0, n_a=20, m_lo=[-1.0],
+                    m_hi=[1.0], n_m=[20]) if command == "pde" else dict(
+                        T=0.2, K_max=1)
+    c = _base(command, **numerics)
+    c["model"] = presets.preset("plain-hawkes").to_dict()
+    c["model"]["init_law"][field] = law
+    cfg = _write_cfg(tmp_path, c)
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_override=out) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    name = "age law" if field == "age" else "memory law"
+    assert err.startswith(f"error: invalid config: {name} ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_inline_model_dict_accepted(tmp_path):
@@ -327,8 +366,10 @@ def test_limit_nonconvergence_strict_exit(tmp_path):
 @pytest.mark.parametrize("command", ["limit", "couple"])
 def test_dt_not_dividing_T_exits_with_one_error_line(command, tmp_path, capsys):
     # the Picard path stopped short of T and the run exited 0 with it
-    cfg = _write_cfg(tmp_path, _base(command, T=1.0, dt=0.3, n_particles=50,
-                                     N_ladder=[5, 10], n_replicas=2))
+    numerics = dict(T=1.0, dt=0.3, n_particles=50)
+    if command == "couple":
+        numerics.update(N_ladder=[5, 10], n_replicas=2)
+    cfg = _write_cfg(tmp_path, _base(command, **numerics))
     out = tmp_path / "out"
     assert cli.run(cfg, out_override=out) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
@@ -365,6 +406,101 @@ def test_missing_required_numerics_field_is_named(command, numerics, field,
     lines = capsys.readouterr().err.splitlines()
     assert lines[0] == f"error: invalid config: '{field}' is a required property"
     assert not out.exists()
+
+
+def test_threads_accepted_by_every_command():
+    validator = cli._config_validator()
+    for command, (_, fields, required) in cli._COMMANDS.items():
+        cfg = _base(command, threads=2, **{f: 1 for f in required})
+        assert validator.is_valid(cfg), command
+
+
+class _Recording(Mapping):
+    """The numerics of a config, recording every key a handler looks up."""
+
+    def __init__(self, data):
+        self.data = data
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return self.data[key]
+
+    def __iter__(self):
+        return iter(self.data)
+
+    def __len__(self):
+        return len(self.data)
+
+
+_BOX = dict(a_max=2.0, n_a=20, m_lo=[-1.0], m_hi=[1.0], n_m=[20], T=0.2, dt=0.1)
+_TINY_RUNS = {
+    "validate": [dict(n_samples=200)],
+    "simulate": [dict(N=4, T=0.5, save_times=[0.5])],
+    "limit": [dict(T=0.2, dt=0.02, n_particles=50, tol=1e-2, max_iter=2)],
+    "pde": [dict(_BOX, save_times=[0.2], stride_a=5, stride_m=5)],
+    "pathint": [dict(T=0.2, K_max=1, eval_points=[[0.2, 0.1, -0.5]]),
+                dict(T=0.2, tail_epsilon=0.1)],
+    "converge": [dict(_BOX, t_eval=0.2, N_ladder=[5, 10], n_replicas=2,
+                      n_directions=4)],
+    "couple": [dict(T=0.2, dt=0.02, n_particles=50, tol=1e-2, max_iter=2,
+                    N_ladder=[5, 10], n_replicas=2)],
+}
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("simulate", "dt", 0.1), ("limit", "N_ladder", [5, 10]), ("pde", "tol", 1e-3),
+    ("pathint", "dt", 0.1), ("converge", "save_times", [0.2]),
+    ("couple", "save_times", [0.2]), ("validate", "T", 1.0),
+], ids=["simulate-dt", "limit-N_ladder", "pde-tol", "pathint-dt",
+        "converge-save_times", "couple-save_times", "validate-T"])
+def test_unread_numerics_field_rejected(command, field, value, tmp_path,
+                                        capsys):
+    # the command ran and ignored the field
+    numerics = dict(_TINY_RUNS[command][0], **{field: value})
+    cfg = _write_cfg(tmp_path, _base(command, preset="plain-hawkes", **numerics))
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_override=out) == cli.EXIT_VALIDATION
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == ("error: invalid config: Additional properties are not "
+                        f"allowed ('{field}' was unexpected)")
+    assert sum(line.startswith("error:") for line in lines) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_numerics_table_matches_handler(command, tmp_path):
+    # a handler that looks up a field its table does not list would never
+    # see it, since the schema rejects it; a listed field that the handler
+    # never looks up would be accepted and ignored
+    handler, fields, _ = cli._COMMANDS[command]
+    read = set()
+    for i, numerics in enumerate(_TINY_RUNS[command]):
+        cfg = _base(command, preset="plain-hawkes", **numerics)
+        cli._config_validator().validate(cfg)
+        num = _Recording(numerics)
+        out = tmp_path / str(i)
+        out.mkdir()
+        try:
+            handler(presets.preset("plain-hawkes"), num, 5, out)
+        except cli._StrictWarning:
+            pass
+        assert num.read <= set(fields), num.read - set(fields)
+        read |= num.read
+    assert read == set(fields)
+
+
+def test_key_error_in_a_command_exits_downstream(tmp_path, monkeypatch, capsys):
+    # a KeyError inside a command is a bug, not an invalid config: every
+    # field a handler reads without a default is required by the schema
+    def lookup_bug(spec, num, seed, outdir):
+        return {}["n_samples"]
+
+    monkeypatch.setitem(cli._COMMANDS, "validate",
+                        (lookup_bug, *cli._COMMANDS["validate"][1:]))
+    cfg = _write_cfg(tmp_path, _base("validate"))
+    assert cli.run(cfg, out_override=tmp_path / "out") == cli.EXIT_DOWNSTREAM
+    assert capsys.readouterr().err == "error: KeyError: 'n_samples'\n"
 
 
 def test_picard_json_pinned(tmp_path):

@@ -743,6 +743,31 @@ def test_degenerate_truncnorm_density_rejected(law):
         mdl.InitialLaw(mem=(law,)).density_mem(np.array([[0.5]]))
 
 
+_AGE, _MEM = ("exponential", 1.0), ("uniform", -1.0, 0.0)
+
+
+@pytest.mark.parametrize("age, mem, named", [
+    (("gamma", 1.0), _MEM, "age law"),
+    (("exponential", -1.0), _MEM, "age law"),
+    (("exponential", 0.0), _MEM, "age law"),
+    (("exponential", float("nan")), _MEM, "age law"),
+    (("exponential",), _MEM, "age law"),
+    (("uniform", -0.5, 1.0), _MEM, "age law"),
+    (("uniform", 1.0, 1.0), _MEM, "age law"),
+    (_AGE, ("uniform", 0.0, -1.0), "memory law"),
+    (_AGE, ("uniform", 0.5, 0.5), "memory law"),
+    (_AGE, ("normal", 0.0, 1.0), "memory law"),
+    (_AGE, ("truncnorm", 0.0, 1.0, -1.0), "memory law"),
+], ids=["gamma-age", "negative-rate", "zero-rate", "nan-rate", "no-rate",
+        "negative-age", "empty-age", "reversed-mem", "empty-mem",
+        "unknown-mem", "truncnorm-no-hi"])
+def test_initial_law_rejects_law_it_cannot_evaluate(age, mem, named):
+    # such a law was accepted, and failed or gave a negative or zero
+    # density only where it was evaluated
+    with pytest.raises(mdl.ConfigurationError, match=named):
+        mdl.InitialLaw(age=age, mem=(mem,))
+
+
 def test_initial_law_sampling_matches_density(rng):
     law = mdl.InitialLaw(age=("uniform", 0.5, 2.5),
                          mem=(("uniform", -1.0, 0.0),))
@@ -771,6 +796,19 @@ def test_spec_json_roundtrip(interacting_spec):
     back = mdl.ModelSpec.from_json(text)
     assert back == interacting_spec
     assert back.spec_hash() == interacting_spec.spec_hash()
+
+
+def test_from_dict_rejects_unknown_top_level_keys():
+    # the keys were dropped and the dict decoded to the preset unchanged
+    from almsim import presets
+    data = presets.preset("plain-hawkes").to_dict()
+    assert "schema_version" in data
+    assert mdl.ModelSpec.from_dict(data) == presets.preset("plain-hawkes")
+    data.update(seed=99, comment="a note", Lambda_typo=[2.0])
+    with pytest.raises(mdl.ConfigurationError) as exc:
+        mdl.ModelSpec.from_dict(data)
+    assert str(exc.value) == (
+        "unknown model fields ['Lambda_typo', 'comment', 'seed']")
 
 
 def test_to_dict_leaves_no_cyclic_garbage():

@@ -747,6 +747,17 @@ def test_lm_rejects_empty_memory_box_naming_the_axis(m_lo, m_hi, axis):
                          u0=lambda mesh: np.ones(mesh.shape[:-1]))
 
 
+@pytest.mark.parametrize("m_lo, m_hi, n_m", [
+    ((-1.0, 0.0), (1.0, 2.0, 3.0), (20, 5)), ((-1.0,), (1.0,), ())],
+    ids=["lengths-differ", "no-n_m"])
+def test_lm_rejects_box_of_wrong_dimension(m_lo, m_hi, n_m):
+    # the first case ran on one 21-node axis, the second raised IndexError
+    with pytest.raises(mdl.ConfigurationError,
+                       match="memory box dimension mismatch"):
+        pde.solve_lm_pde(presets.preset("plain-hawkes"), m_lo, m_hi, n_m,
+                         0.2, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # signal route
 
