@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -298,6 +299,65 @@ def scalar_kernel(spec: InteractionSpec):
     return kernel
 
 
+class SignalTrace:
+    """O(1) running evaluation of the shared signal of one N-neuron run,
+    (1/N) sum_j H_t(j) + (J/N) sum over events of kernel(t - s) g(a, m).
+
+    Exponential and erlang kernels keep decaying sufficient statistics; the
+    finite-support kernel falls back to a lazy sum over the events of the
+    last tau.  Queries come at nondecreasing times, no earlier than the last
+    event, so an event that is a full tau old stays out of every later sum.
+    """
+
+    def __init__(self, spec: ModelSpec, H_params):
+        self.N = len(H_params)
+        self.H_params = H_params
+        # spec.H_emp_mean(H_params, t), with the O(N) mean taken once per run
+        self.h_mean = float(np.mean(H_params))
+        self.h_rate = spec.lam[0] if spec.H.family == "exp-decay-from-M0" else None
+        self.kernel, self.tau, self.J = spec.h.kernel, spec.h.tau, spec.h.J
+        self.t = self.s0 = self.s1 = 0.0
+        self.recent = deque()    # (time, g) of the finite-support events
+        self._kernel = scalar_kernel(spec.h)
+
+    def value(self, t):
+        he = self.h_mean
+        if self.h_rate is not None:
+            he = he * math.exp(-self.h_rate * t)
+        if self.J == 0.0:
+            return he
+        if self.kernel == "finite-support-smooth":
+            acc = 0.0
+            for te, g in reversed(self.recent):
+                lag = t - te
+                if lag >= self.tau:
+                    break
+                acc += g * self._kernel(lag)
+            return he + self.J * acc / self.N
+        dt = t - self.t
+        r = math.exp(-dt / self.tau)
+        if self.kernel == "exponential":
+            return he + self.J * self.s0 * r / self.N
+        s1 = r * (self.s1 + (dt / self.tau) * self.s0)
+        return he + self.J * s1 / self.N
+
+    def add_event(self, t, g):
+        if self.J == 0.0:
+            return
+        if self.kernel == "finite-support-smooth":
+            recent = self.recent
+            while recent and t - recent[0][0] >= self.tau:
+                recent.popleft()
+            recent.append((t, g))
+            return
+        dt = t - self.t
+        r = math.exp(-dt / self.tau)
+        if self.kernel == "erlang":
+            self.s1 = r * (self.s1 + (dt / self.tau) * self.s0)
+        self.s0 = r * self.s0 + g
+        self.t = t
+
+
 def modulation_eval(spec: InteractionSpec, a, m):
     a = np.asarray(a, dtype=float)
     m = np.atleast_1d(np.asarray(m, dtype=float))
@@ -373,6 +433,17 @@ def jump_apply(j: JumpSpec, m):
     return np.asarray(j.fn(m), dtype=float)
 
 
+def scalar_jump(j: JumpSpec):
+    """gamma for one neuron's memory: a float when d = 1, a (d,) array
+    otherwise, with the numbers of jump_apply (a one-element b is a float);
+    a custom map is applied to a batch of one."""
+    if j.affine is None:
+        return lambda m: jump_apply(j, np.asarray([m]))[0]
+    c, b = j.affine
+    b = b.item() if b.size == 1 else b
+    return lambda m: b + c * m
+
+
 def jump_inverse(j: JumpSpec, m):
     """gamma^{-1}(m); round-trips with jump_apply to ~1e-12."""
     m = np.atleast_1d(np.asarray(m, dtype=float))
@@ -429,6 +500,7 @@ class InitialLaw:
     age: ("exponential", rate > 0) or ("uniform", lo, hi), 0 <= lo < hi
     mem: tuple of per-dimension laws, each ("uniform", lo, hi), lo < hi, or
          ("truncnorm", mean, sd, lo, hi), sd > 0 and lo < hi
+    Every parameter is finite.
     """
 
     age: tuple = ("exponential", 1.0)
@@ -436,18 +508,21 @@ class InitialLaw:
 
     def __post_init__(self):
         age = self.age
-        if not ((len(age) == 2 and age[0] == "exponential" and age[1] > 0)
-                or (len(age) == 3 and age[0] == "uniform" and 0 <= age[1] < age[2])):
+        if not (((len(age) == 2 and age[0] == "exponential" and age[1] > 0)
+                 or (len(age) == 3 and age[0] == "uniform" and 0 <= age[1] < age[2]))
+                and all(map(math.isfinite, age[1:]))):
             raise ConfigurationError(
                 f"age law {age} is not ('exponential', rate > 0) or "
-                f"('uniform', lo, hi) with 0 <= lo < hi")
+                f"('uniform', lo, hi) with 0 <= lo < hi, all finite")
         for law in self.mem:
-            if not ((len(law) == 3 and law[0] == "uniform" and law[1] < law[2])
-                    or (len(law) == 5 and law[0] == "truncnorm" and law[2] > 0
-                        and law[3] < law[4])):
+            if not (((len(law) == 3 and law[0] == "uniform" and law[1] < law[2])
+                     or (len(law) == 5 and law[0] == "truncnorm" and law[2] > 0
+                         and law[3] < law[4]))
+                    and all(map(math.isfinite, law[1:]))):
                 raise ConfigurationError(
                     f"memory law {law} is not ('uniform', lo, hi) with lo < hi "
-                    f"or ('truncnorm', mean, sd, lo, hi) with sd > 0 and lo < hi")
+                    f"or ('truncnorm', mean, sd, lo, hi) with sd > 0 and lo < hi, "
+                    f"all finite")
 
     @property
     def d(self):
@@ -529,6 +604,9 @@ class BaselineSpec:
     zero              : H_t(i) = 0
     constant-random   : H_t(i) = c_i with c_i ~ N(mean, std^2)
     exp-decay-from-M0 : H_t(i) = M_0(i) * exp(-Lambda t)   (d = 1 only)
+
+    mean and std are finite, std >= 0, and both stay 0.0 unless the family
+    is constant-random, the one family that reads them.
     """
 
     family: str = "zero"
@@ -538,6 +616,12 @@ class BaselineSpec:
     def __post_init__(self):
         if self.family not in ("zero", "constant-random", "exp-decay-from-M0"):
             raise ConfigurationError(f"unknown baseline family {self.family!r}")
+        if not (math.isfinite(self.mean) and 0.0 <= self.std < math.inf):
+            raise ConfigurationError(
+                "baseline needs a finite mean and a finite std >= 0")
+        if self.family != "constant-random" and (self.mean, self.std) != (0.0, 0.0):
+            raise ConfigurationError(f"baseline family {self.family!r} reads no "
+                                     f"mean or std; leave them at 0.0")
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +706,11 @@ class ModelSpec:
             return lambda a, m: h.mod_intercept + h.mod_slope * m
         return lambda a, m: float(h.mod_fn(np.asarray(a), np.asarray([m])))
 
+    def signal_trace(self, H_params):
+        """The running shared signal of a run of len(H_params) neurons with
+        the per-neuron baseline parameters H_params."""
+        return SignalTrace(self, H_params)
+
     def interaction(self, t, a, m):
         return interaction_eval(self.h, t, a, m)
 
@@ -694,8 +783,8 @@ class ModelSpec:
             jump=part("jump", lambda v: JumpSpec(**{
                 **v, "alpha_vec": tuple(v["alpha_vec"]),
                 "offset": None if v["offset"] is None else tuple(v["offset"])})),
-            init_law=part("init_law", lambda v: InitialLaw(age=tup(v["age"]),
-                                                           mem=tup(v["mem"]))),
+            init_law=part("init_law", lambda v: InitialLaw(**{
+                **v, "age": tup(v["age"]), "mem": tup(v["mem"])})),
             H=part("H", lambda v: BaselineSpec(**v)),
         )
 

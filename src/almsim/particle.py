@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,82 +71,6 @@ class SimulationRecord:
     H_params: np.ndarray
 
 
-class _XTrace:
-    """O(1) running evaluation of the shared signal for separable h.
-
-    Exponential and erlang kernels keep decaying sufficient statistics; the
-    finite-support kernel falls back to a lazy sum over the events of the
-    last tau.  Queries come at nondecreasing times, no earlier than the last
-    event, so an event that is a full tau old stays out of every later sum.
-    """
-
-    def __init__(self, spec, N, H_params):
-        self.spec = spec
-        self.N = N
-        self.H_params = H_params
-        # spec.H_emp_mean(H_params, t), with the O(N) mean taken once per run
-        self.h_mean = float(np.mean(H_params))
-        self.h_rate = spec.lam[0] if spec.H.family == "exp-decay-from-M0" else None
-        self.kernel = spec.h.kernel
-        self.tau = spec.h.tau
-        self.J = spec.h.J
-        self.t = 0.0
-        self.s0 = 0.0
-        self.s1 = 0.0
-        self.recent = deque()    # (time, g) of the finite-support events
-        self._horizon = spec.h.tau
-        self._kernel = mdl.scalar_kernel(spec.h)
-
-    def value(self, t):
-        he = self.h_mean
-        if self.h_rate is not None:
-            he = he * math.exp(-self.h_rate * t)
-        if self.J == 0.0:
-            return he
-        dt = t - self.t
-        r = math.exp(-dt / self.tau)
-        if self.kernel == "exponential":
-            return he + self.J * self.s0 * r / self.N
-        if self.kernel == "erlang":
-            s1 = r * (self.s1 + (dt / self.tau) * self.s0)
-            return he + self.J * s1 / self.N
-        # finite-support bump: lazy sum over recent events
-        acc = 0.0
-        for te, g in reversed(self.recent):
-            lag = t - te
-            if lag >= self._horizon:
-                break
-            acc += g * self._kernel(lag)
-        return he + self.J * acc / self.N
-
-    def add_event(self, t, g):
-        if self.J == 0.0:
-            return
-        if self.kernel in ("exponential", "erlang"):
-            dt = t - self.t
-            r = math.exp(-dt / self.tau)
-            if self.kernel == "erlang":
-                self.s1 = r * (self.s1 + (dt / self.tau) * self.s0)
-            self.s0 = r * self.s0 + g
-            self.t = t
-        else:
-            recent = self.recent
-            while recent and t - recent[0][0] >= self._horizon:
-                recent.popleft()
-            recent.append((t, g))
-
-
-def make_scalar_jump(j: mdl.JumpSpec):
-    """gamma for one neuron's memory: a float when d = 1, a (d,) array
-    otherwise, with the numbers of mdl.jump_apply (a one-element b is a
-    float); a custom map is applied to a batch of one."""
-    if j.affine is None:
-        return lambda m: mdl.jump_apply(j, np.asarray([m]))[0]
-    c, b = j.affine
-    b = b.item() if b.size == 1 else b
-    return lambda m: b + c * m
-
-
 def _memory_decay(spec, mems0):
     """The lazily decayed memory array and decay(m, el) = m exp(-Lambda el)
     for one row of it: python floats through math.exp when d = 1, (d,) rows
@@ -164,7 +87,7 @@ def _start(spec, N, seed, spawn_key=()):
     every simulator makes before its first candidate."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
     ages0, mems0 = spec.init_law.sample(rng, N)
-    trace = _XTrace(spec, N, spec.sample_H_params(rng, N, mems0))
+    trace = spec.signal_trace(spec.sample_H_params(rng, N, mems0))
     return rng, ages0, mems0, trace
 
 
@@ -230,7 +153,7 @@ def simulate_network(spec: mdl.ModelSpec, N: int, T: float, seed: int,
     _ensure_assumptions(spec)
     rng, ages0, mems0, trace = _start(spec, N, seed)
     f = spec.scalar_intensity()
-    jump = make_scalar_jump(spec.jump)
+    jump = mdl.scalar_jump(spec.jump)
     gmod = spec.scalar_modulation()
     mem_ref, decay = _memory_decay(spec, mems0)
     neg_lam = -spec.lam
@@ -317,7 +240,7 @@ def simulate_coupled_pair(spec: mdl.ModelSpec, N: int, T: float, x_path,
         raise ValueError("x_path does not cover [0, T]")
 
     f = spec.scalar_intensity()
-    jump = make_scalar_jump(spec.jump)
+    jump = mdl.scalar_jump(spec.jump)
     gmod = spec.scalar_modulation()
     psi_s = mdl.scalar_psi(spec.psi)
 

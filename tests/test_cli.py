@@ -156,6 +156,27 @@ def test_initial_law_it_cannot_evaluate_rejected(command, field, law,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("part, edit, named", [
+    ("H", {"family": "constant-random", "mean": float("nan"), "std": 0.1},
+     "baseline needs a finite mean and a finite std >= 0"),
+    ("init_law", {"bogus": 1}, "'bogus'"),
+], ids=["nan-baseline", "unknown-init-law-key"])
+def test_inline_model_part_it_cannot_use_rejected(part, edit, named, tmp_path,
+                                                  capsys):
+    # the NaN baseline exited 0 with no events and x_emp [NaN] in run.json;
+    # the unknown init_law key was dropped
+    c = _base("simulate", N=4, T=1.0)
+    c["model"] = presets.preset("plain-hawkes").to_dict()
+    c["model"][part].update(edit)
+    cfg = _write_cfg(tmp_path, c)
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_override=out) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ") and named in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_inline_model_dict_accepted(tmp_path):
     c = _base("validate")
     c["model"] = presets.preset("stp").to_dict()

@@ -570,6 +570,8 @@ _INTENSITY = ("f", "IntensitySpec",
 _MODULATION = ("h", "InteractionSpec",
                {"modulation", "mod_intercept", "mod_slope", "mod_fn"})
 _PSI = ("psi", "PsiParams", {"K", "kappa"})
+_KERNEL = ("h", "InteractionSpec", {"kernel", "tau"})
+_BASELINE = ("H", "BaselineSpec", {"family", "mean", "std"})
 
 
 def test_only_model_reads_jump_families():
@@ -607,6 +609,26 @@ def test_only_model_reads_psi_params():
         "    return spec.psi.K + p.kappa + ps.K + p.other\n", *_PSI)) == [
             "3: p.kappa", "3: ps.K", "3: spec.psi.K"]
     assert not _reads_outside_model(*_PSI)
+
+
+def test_only_model_reads_kernel_families():
+    # outside model.py, the temporal kernel goes through kernel_eval,
+    # kernel_horizon and ModelSpec.signal_trace
+    assert sorted(_field_reads(
+        "def g(spec, hs: mdl.InteractionSpec):\n    h = spec.h\n"
+        "    return spec.h.kernel + h.tau + hs.kernel + h.J\n", *_KERNEL)) == [
+            "3: h.tau", "3: hs.kernel", "3: spec.h.kernel"]
+    assert not _reads_outside_model(*_KERNEL)
+
+
+def test_only_model_reads_baseline_families():
+    # outside model.py, the baseline goes through ModelSpec.Hbar,
+    # sample_H_params, H_emp_mean and signal_trace
+    assert sorted(_field_reads(
+        "def g(spec, bs: mdl.BaselineSpec):\n    H = spec.H\n"
+        "    return spec.H.family + H.mean + bs.std + H.other\n",
+        *_BASELINE)) == ["3: H.mean", "3: bs.std", "3: spec.H.family"]
+    assert not _reads_outside_model(*_BASELINE)
 
 
 # the module functions that write an artifact's format
@@ -768,6 +790,26 @@ def test_initial_law_rejects_law_it_cannot_evaluate(age, mem, named):
         mdl.InitialLaw(age=age, mem=(mem,))
 
 
+_INF = float("inf")
+
+
+@pytest.mark.parametrize("age, mem", [
+    (("exponential", _INF), _MEM),
+    (("uniform", 0.0, _INF), _MEM),
+    (_AGE, ("uniform", -1.0, _INF)),
+    (_AGE, ("uniform", -_INF, 0.0)),
+    (_AGE, ("truncnorm", 0.0, _INF, -1.0, 1.0)),
+    (_AGE, ("truncnorm", 0.0, 1.0, -_INF, 1.0)),
+    (_AGE, ("truncnorm", float("nan"), 1.0, -1.0, 1.0)),
+], ids=["inf-rate", "inf-age-hi", "inf-mem-hi", "inf-mem-lo", "inf-sd",
+        "inf-truncnorm-lo", "nan-mean"])
+def test_initial_law_rejects_nonfinite_parameter(age, mem):
+    # such a law was accepted: an infinite uniform bound or sd gave
+    # density_mem 0.0 everywhere, an infinite rate density_age NaN
+    with pytest.raises(mdl.ConfigurationError, match="all finite"):
+        mdl.InitialLaw(age=age, mem=(mem,))
+
+
 def test_initial_law_sampling_matches_density(rng):
     law = mdl.InitialLaw(age=("uniform", 0.5, 2.5),
                          mem=(("uniform", -1.0, 0.0),))
@@ -785,6 +827,23 @@ def test_baseline_families():
     spec2 = mdl.ModelSpec(H=mdl.BaselineSpec(family="exp-decay-from-M0"))
     m0 = float(spec2.init_law.mem_mean()[0])
     assert float(spec2.Hbar(1.0)) == pytest.approx(m0 * math.exp(-1.0))
+
+
+@pytest.mark.parametrize("family, mean, std, named", [
+    ("constant-random", float("nan"), 0.1, "finite mean and a finite std >= 0"),
+    ("constant-random", float("inf"), 0.1, "finite mean and a finite std >= 0"),
+    ("constant-random", 0.1, float("inf"), "finite mean and a finite std >= 0"),
+    ("constant-random", 0.1, -0.2, "finite mean and a finite std >= 0"),
+    ("zero", 0.5, 0.0, "reads no mean or std"),
+    ("exp-decay-from-M0", 0.0, 0.2, "reads no mean or std"),
+], ids=["nan-mean", "inf-mean", "inf-std", "negative-std", "zero-with-mean",
+        "exp-decay-with-std"])
+def test_baseline_rejects_values_it_cannot_use(family, mean, std, named):
+    # a NaN mean made a run with no events whose run.json held x_emp [NaN];
+    # zero and exp-decay-from-M0 ignored the values they were given
+    with pytest.raises(mdl.ConfigurationError, match=named):
+        mdl.BaselineSpec(family=family, mean=mean, std=std)
+    assert mdl.BaselineSpec(family="constant-random", mean=-1.0, std=0.0).std == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -809,6 +868,15 @@ def test_from_dict_rejects_unknown_top_level_keys():
         mdl.ModelSpec.from_dict(data)
     assert str(exc.value) == (
         "unknown model fields ['Lambda_typo', 'comment', 'seed']")
+
+
+def test_from_dict_rejects_unknown_init_law_keys():
+    # the key was dropped and the dict decoded to the preset unchanged
+    from almsim import presets
+    data = presets.preset("plain-hawkes").to_dict()
+    data["init_law"]["bogus"] = 1
+    with pytest.raises(mdl.ConfigurationError, match="init_law.*'bogus'"):
+        mdl.ModelSpec.from_dict(data)
 
 
 def test_to_dict_leaves_no_cyclic_garbage():

@@ -118,12 +118,50 @@ def test_trace_matches_lazy_sum(kernel):
         assert abs(x_fast - x_lazy) < 1e-12
 
 
+_BASELINES = {"zero": {}, "constant-random": {"mean": 0.3, "std": 0.2},
+              "exp-decay-from-M0": {}}
+# every kernel, baseline and state modulation at d = 1, and at d = 2 where
+# the baseline allows it (exp-decay-from-M0 needs d = 1)
+_FAMILIES = [(kernel, baseline, modulation, d)
+             for kernel in ("exponential", "erlang", "finite-support-smooth")
+             for baseline in _BASELINES
+             for modulation in ("none", "linear-in-m")
+             for d in (1, 2) if d == 1 or baseline != "exp-decay-from-M0"]
+
+
+@pytest.mark.parametrize("kernel, baseline, modulation, d", _FAMILIES,
+                         ids=["-".join(map(str, c)) for c in _FAMILIES])
+def test_trace_matches_lazy_sum_on_every_family(kernel, baseline, modulation,
+                                                d):
+    # the running signal against the reference lazy sum, with the signal
+    # fed back into f
+    spec = mdl.ModelSpec(
+        d=d,
+        Lambda=(1.0, 0.5)[:d],
+        f=mdl.IntensitySpec(family="sigmoid-affine", f_min=0.5, f_max=2.0,
+                            c_a=0.4, c_x=0.8, c_m=(0.6, -0.3)[:d], b=0.1),
+        h=mdl.InteractionSpec(kernel=kernel, tau=0.5, J=0.6,
+                              modulation=modulation, mod_intercept=1.0,
+                              mod_slope=0.4),
+        jump=mdl.JumpSpec(family="translation", alpha_vec=(-0.5, 0.3)[:d]),
+        init_law=mdl.InitialLaw(mem=(("uniform", -1.0, 0.0),
+                                     ("uniform", 0.0, 0.5))[:d]),
+        H=mdl.BaselineSpec(family=baseline, **_BASELINES[baseline]),
+    )
+    saves = [0.0, 0.5, 1.0, 2.0, 3.5, 5.0]
+    rec = prt.simulate_network(spec, 8, 5.0, seed=11, save_times=saves)
+    assert len(rec.events) >= 10
+    for t, x_fast in zip(saves, rec.x_path_emp):
+        x_lazy = prt.evaluate_X(spec, rec, t, horizon=np.inf)
+        assert abs(x_fast - x_lazy) < 1e-12
+
+
 def test_finite_support_trace_keeps_only_last_tau():
     # the pruned event queue gives the bits of the unpruned newest-first
     # sum, and holds no more events than fall in one kernel support
     spec = _constant_spec(rate=1.0, J=0.6, kernel="finite-support-smooth")
     tau = spec.h.tau
-    trace = prt._XTrace(spec, 50, np.zeros(50))
+    trace = spec.signal_trace(np.zeros(50))
     rng = np.random.default_rng(5)
     times = np.cumsum(rng.exponential(0.02, 5000))
     all_t, all_g, longest = [], [], 0
