@@ -80,7 +80,6 @@ def _simulate_events(spec, ts, xvals, cand_t, cand_u, a0, m0):
     """
     n, n_cand = cand_t.shape
     d = m0.shape[1]
-    lam = spec.lam
     fmax = spec.f_max
     T = ts[-1]
 
@@ -102,7 +101,7 @@ def _simulate_events(spec, ts, xvals, cand_t, cand_u, a0, m0):
         idx = np.nonzero(act)[0]
         el = tc[idx] - t_e[idx]
         a = a_e[idx] + el
-        m = m_e[idx] * np.exp(-lam[None, :] * el[:, None])
+        m = spec.flow(m_e[idx], el)
         xs = np.interp(tc[idx], ts, xvals)
         fv = spec.intensity(a, m, xs)
         hit = cand_u[idx, r] * fmax <= fv
@@ -137,7 +136,6 @@ def _walk_slots(spec, acc_t, acc_m, acc_cnt, a0, times):
     edge[p, k] up to edge[p, k + 1], the times from acc_t[p, k] to just
     before acc_t[p, k + 1] (inf past the last event)."""
     n, S = acc_t.shape[0], times.shape[0]
-    lam = spec.lam
     K = int(acc_cnt.max())
     edge = np.full((n, K + 1), S)
     edge[:, :K] = np.searchsorted(times, acc_t[:, :K], "left")
@@ -150,7 +148,7 @@ def _walk_slots(spec, acc_t, acc_m, acc_cnt, a0, times):
         gi = np.arange(pi.size) + np.repeat(edge[:, k] - start, cnt)
         rel = times[gi] - acc_t[pi, k]
         a = rel + (a0[pi] if k == 0 else 0.0)
-        yield pi, gi, a, acc_m[pi, k] * np.exp(-lam[None, :] * rel[:, None])
+        yield pi, gi, a, spec.flow(acc_m[pi, k], rel)
 
 
 def _states_at(spec, acc_t, acc_m, acc_cnt, a0, times):

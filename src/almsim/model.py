@@ -36,6 +36,16 @@ def step_count(T, dt):
     return G
 
 
+def _check_numbers(owner, rates=False, **fields):
+    """Raises ConfigurationError naming the first of fields, each a number
+    or a sequence of numbers, that holds a number that is not finite, or
+    with rates, one outside (0, inf)."""
+    lo, span = (0.0, "in (0, inf)") if rates else (-math.inf, "finite")
+    for name, v in fields.items():
+        if not all(lo < x < math.inf for x in np.ravel(v)):
+            raise ConfigurationError(f"{owner} field {name} must be {span}, got {v}")
+
+
 # ---------------------------------------------------------------------------
 # saturating age transform
 
@@ -48,8 +58,7 @@ class PsiParams:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if self.K <= 0 or self.kappa <= 0:
-            raise ConfigurationError("PsiParams requires K > 0 and kappa > 0")
+        _check_numbers("PsiParams", rates=True, K=self.K, kappa=self.kappa)
 
 
 def psi_eval(a, p: PsiParams):
@@ -113,6 +122,8 @@ class IntensitySpec:
             "stp-composite",
         ):
             raise ConfigurationError(f"unknown intensity family {self.family!r}")
+        _check_numbers("IntensitySpec", c_a=self.c_a, c_x=self.c_x, c_m=self.c_m,
+                       b=self.b, psi_amp=self.psi_amp, psi_rate=self.psi_rate)
 
     @property
     def age_free(self):
@@ -246,8 +257,9 @@ class InteractionSpec:
             raise ConfigurationError(f"unknown kernel {self.kernel!r}")
         if self.modulation not in ("none", "linear-in-m", "custom-bounded"):
             raise ConfigurationError(f"unknown modulation {self.modulation!r}")
-        if self.tau <= 0:
-            raise ConfigurationError("kernel scale tau must be positive")
+        _check_numbers("InteractionSpec", rates=True, tau=self.tau)
+        _check_numbers("InteractionSpec", J=self.J, mod_intercept=self.mod_intercept,
+                       mod_slope=self.mod_slope)
         if self.modulation == "custom-bounded" and self.mod_fn is None:
             raise ConfigurationError("custom-bounded modulation needs mod_fn")
 
@@ -411,6 +423,8 @@ class JumpSpec:
             raise ConfigurationError("affine-contraction needs alpha in (0,1)")
         if self.family == "custom" and self.fn is None:
             raise ConfigurationError("custom jump needs fn")
+        _check_numbers("JumpSpec", alpha_vec=self.alpha_vec, alpha=self.alpha,
+                       offset=() if self.offset is None else self.offset)
 
     @property
     def affine(self):
@@ -661,8 +675,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.d < 1 or len(self.Lambda) != self.d:
             raise ConfigurationError("Lambda must have length d >= 1")
-        if any(l <= 0 for l in self.Lambda):
-            raise ConfigurationError("decay rates must be positive")
+        _check_numbers("ModelSpec", rates=True, Lambda=self.Lambda)
         if self.init_law.d != self.d:
             raise ConfigurationError("init_law dimension mismatch")
         if self.f.family not in ("constant", "stp-composite") and len(self.f.c_m) != self.d:
@@ -673,6 +686,35 @@ class ModelSpec:
     @property
     def lam(self):
         return np.asarray(self.Lambda, dtype=float)
+
+    def flow(self, m, s):
+        """The memory decay m exp(-Lambda s) between events: m has the
+        memory axis last, s broadcasts against its leading axes, and s < 0
+        runs the flow backwards."""
+        return m * np.exp(-self.lam * np.asarray(s)[..., None])
+
+    def scalar_flow(self):
+        """flow(m, s) for one neuron's memory and one float s: a python float
+        through math.exp when d = 1, a (d,) array with flow's bits
+        otherwise."""
+        nl = -self.lam
+        if self.d == 1:
+            nl = float(nl[0])
+            return lambda m, s: m * math.exp(nl * s)
+        return lambda m, s: m * np.exp(nl * s)
+
+    def axis_flow(self, s):
+        """The per-axis factors exp(-Lambda_k s) of the flow over one float
+        s, as python floats through math.exp."""
+        return [math.exp(-l * s) for l in self.lam]
+
+    def drift(self, m):
+        """Lambda m, the decay speed -d flow(m, s)/ds at s = 0."""
+        return self.lam * m
+
+    def back_flow_logdet(self, s):
+        """s tr Lambda, the log-determinant of m -> flow(m, -s)."""
+        return s * float(np.sum(self.lam))
 
     @property
     def f_max(self):

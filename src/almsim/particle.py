@@ -71,17 +71,6 @@ class SimulationRecord:
     H_params: np.ndarray
 
 
-def _memory_decay(spec, mems0):
-    """The lazily decayed memory array and decay(m, el) = m exp(-Lambda el)
-    for one row of it: python floats through math.exp when d = 1, (d,) rows
-    through np.exp otherwise."""
-    if spec.d == 1:
-        nl = -float(spec.lam[0])
-        return mems0[:, 0].copy(), lambda m, el: m * math.exp(nl * el)
-    nl = -spec.lam
-    return mems0.copy(), lambda m, el: m * np.exp(nl * el)
-
-
 def _start(spec, N, seed, spawn_key=()):
     """Generator, initial ages and memories and the signal trace: the draws
     every simulator makes before its first candidate."""
@@ -155,15 +144,14 @@ def simulate_network(spec: mdl.ModelSpec, N: int, T: float, seed: int,
     f = spec.scalar_intensity()
     jump = mdl.scalar_jump(spec.jump)
     gmod = spec.scalar_modulation()
-    mem_ref, decay = _memory_decay(spec, mems0)
-    neg_lam = -spec.lam
+    decay = spec.scalar_flow()
+    mem_ref = mems0[:, 0].copy() if spec.d == 1 else mems0.copy()
     t_ref = np.zeros(N)
     age_ref = ages0.copy()
 
     def state_at(ts):
         el = ts - t_ref
-        return (age_ref + el,
-                mem_ref.reshape(N, -1) * np.exp(el[:, None] * neg_lam))
+        return age_ref + el, spec.flow(mem_ref.reshape(N, -1), el)
 
     def step(t, i, v):
         el = t - t_ref[i]
@@ -243,10 +231,11 @@ def simulate_coupled_pair(spec: mdl.ModelSpec, N: int, T: float, x_path,
     jump = mdl.scalar_jump(spec.jump)
     gmod = spec.scalar_modulation()
     psi_s = mdl.scalar_psi(spec.psi)
+    decay = spec.scalar_flow()
 
     def replica(rep):
         rng, ages0, mems0, trace = _start(spec, N, seed, spawn_key=(rep,))
-        mN, decay = _memory_decay(spec, mems0)
+        mN = mems0[:, 0].copy()
         tN = np.zeros(N); aN = ages0.copy()
         tL = np.zeros(N); aL = ages0.copy(); mL = mN.copy()
         sup = np.zeros(N)
@@ -305,7 +294,7 @@ def simulate_equivalent_hawkes(spec: mdl.ModelSpec, N: int, T: float, seed: int,
             "kernel-form simulation needs d=1 and a translation jump")
     _ensure_assumptions(spec)
     rng, ages0, mems0, trace = _start(spec, N, seed)
-    lam0 = float(spec.lam[0])
+    decay = spec.scalar_flow()
     alpha = affine[1].item()
     f = spec.scalar_intensity()
     gmod = spec.scalar_modulation()
@@ -315,9 +304,9 @@ def simulate_equivalent_hawkes(spec: mdl.ModelSpec, N: int, T: float, seed: int,
     age_off = ages0.copy()
 
     def mem_at(i, t):
-        v = m0[i] * math.exp(-lam0 * t)
+        v = decay(m0[i], t)
         for s in own_events[i]:
-            v += alpha * math.exp(-lam0 * (t - s))
+            v += decay(alpha, t - s)
         return v
 
     def state_at(ts):

@@ -62,24 +62,21 @@ class PathIntegralConfig:
 def theta_k(times, t, spec: mdl.ModelSpec, m0):
     """Memory at time t given jumps at `times`, starting from m0 at time 0."""
     times = _check_times(times, t)
-    lam = spec.lam
     m = np.atleast_1d(np.asarray(m0, dtype=float))
     prev = 0.0
     for tk in times:
-        m = m * np.exp(-lam * (tk - prev))
-        m = mdl.jump_apply(spec.jump, m)
+        m = mdl.jump_apply(spec.jump, spec.flow(m, tk - prev))
         prev = tk
-    return m * np.exp(-lam * (t - prev))
+    return spec.flow(m, t - prev)
 
 
 def theta_k_recursive(times, t, spec: mdl.ModelSpec, m0):
     """Same map via the recurrence theta^k_t = decay(t - t_k) o gamma o theta^{k-1}_{t_k}."""
     times = _check_times(times, t)
-    lam = spec.lam
     if times.size == 0:
-        return np.atleast_1d(np.asarray(m0, dtype=float)) * np.exp(-lam * t)
+        return spec.flow(np.atleast_1d(np.asarray(m0, dtype=float)), t)
     inner = theta_k_recursive(times[:-1], times[-1], spec, m0)
-    return mdl.jump_apply(spec.jump, inner) * np.exp(-lam * (t - times[-1]))
+    return spec.flow(mdl.jump_apply(spec.jump, inner), t - times[-1])
 
 
 def phi_k_apply(times, m0, t, spec: mdl.ModelSpec):
@@ -92,32 +89,29 @@ def phi_k_apply(times, m0, t, spec: mdl.ModelSpec):
 
 
 def phi_0_apply(a0, m0, t, spec: mdl.ModelSpec):
-    lam = spec.lam
-    return a0 + t, np.atleast_1d(np.asarray(m0, dtype=float)) * np.exp(-lam * t)
+    return a0 + t, spec.flow(np.atleast_1d(np.asarray(m0, dtype=float)), t)
 
 
 def phi_0_inverse(a, m, t, spec: mdl.ModelSpec):
     if a < t:
         raise ValueError("no zero-jump preimage with age below t")
-    lam = spec.lam
-    return a - t, np.atleast_1d(np.asarray(m, dtype=float)) * np.exp(lam * t)
+    return a - t, spec.flow(np.atleast_1d(np.asarray(m, dtype=float)), -t)
 
 
 def _invert_chain(times, m, t, spec: mdl.ModelSpec):
     """Returns (m0, post_jump_points) walking the flow backwards from (t, m).
 
-    With times of shape (k, S, 1), S jump-time rows go back at once and each
+    With times of shape (k, S), S jump-time rows go back at once and each
     returned array gains a leading axis of length S."""
-    lam = spec.lam
     cur = np.atleast_1d(np.asarray(m, dtype=float))
     t_hi = t
     posts = []
     for tk in times[::-1]:
-        cur = cur * np.exp(lam * (t_hi - tk))
+        cur = spec.flow(cur, tk - t_hi)
         posts.append(cur)
         cur = mdl.jump_inverse(spec.jump, cur)
         t_hi = tk
-    m0 = cur * np.exp(lam * t_hi)
+    m0 = spec.flow(cur, -t_hi)
     return m0, posts
 
 
@@ -152,7 +146,7 @@ def _logdet(k, posts, t, spec: mdl.ModelSpec):
     unit absolute determinant, leaving exp(t TrLambda) times the product of
     jump-inverse determinants along the backward chain.
     """
-    base = t * float(np.sum(spec.lam))
+    base = spec.back_flow_logdet(t)
     j = spec.jump
     if j.affine is not None:
         return base - k * spec.d * math.log(j.affine[0])
@@ -189,8 +183,7 @@ def _survival(spec, x, t_a, t_b, age, mem):
         half = 0.5 * (np.minimum(edges[cell + 1], t_b[row]) - s_lo)
         s = (s_lo + half)[:, None] + half[:, None] * v
         rel = s - t_a[row, None]
-        f = spec.intensity(age[row, None] + rel,
-                           mem[row, None] * np.exp(-spec.lam * rel[..., None]),
+        f = spec.intensity(age[row, None] + rel, spec.flow(mem[row, None], rel),
                            x(s))
         # a row's sum does not depend on the other rows of its block
         out[rows] = np.bincount(row - rows[0], half * np.sum(f * w, axis=1),
@@ -207,7 +200,7 @@ def _eta_chain(times, a0, m0, x, spec, t0=0.0, t=None):
     t_prev, age, mem = t0, a0, m0
     for tk in times.T:
         rel = tk - t_prev
-        mem_k = mem * np.exp(-spec.lam * rel[:, None])
+        mem_k = spec.flow(mem, rel)
         eta *= (np.exp(-_survival(spec, x, t_prev, tk, age, mem))
                 * spec.intensity(age + rel, mem_k, x(tk)))
         mem = mdl.jump_apply(spec.jump, mem_k)
@@ -320,14 +313,14 @@ def density_at(t, a, m, u0: mdl.InitialLaw, x, cfg: PathIntegralConfig,
         nodes, weights = _simplex_nodes(k - 1, tk, cfg, rng, cfg.mc_samples)
         times = np.concatenate([nodes, np.full((nodes.shape[0], 1), tk)],
                                axis=1)
-        m0, posts = _invert_chain(times.T[:, :, None], m, t, spec)
+        m0, posts = _invert_chain(times.T, m, t, spec)
         dens = u0.density_mem(m0)
         keep = ~(dens <= 0.0)
         if not keep.any():
             continue
         times, m0, posts = times[keep], m0[keep], [p[keep] for p in posts]
         t1 = times[:, 0]
-        m1 = m0 * np.exp(-spec.lam * t1[:, None])
+        m1 = spec.flow(m0, t1)
         # the chain after the first jump does not depend on the initial age
         rest = _eta_chain(times[:, 1:], 0.0, mdl.jump_apply(spec.jump, m1), x,
                           spec, t0=t1, t=t)
@@ -365,7 +358,7 @@ def density_on_grid(t, a_nodes, m_nodes, u0: mdl.InitialLaw, x0,
         raise mdl.ConfigurationError("grid fast path needs memory-independent f")
     if spec.jump.affine is None:
         raise mdl.ConfigurationError("grid fast path needs an affine jump")
-    lam0 = float(spec.lam[0])
+    grow = spec.axis_flow(-t)[0]    # exp(Lambda t), the backward flow's factor
     a_nodes = np.asarray(a_nodes, dtype=float)
     m_nodes = np.asarray(m_nodes, dtype=float)
 
@@ -403,7 +396,7 @@ def density_on_grid(t, a_nodes, m_nodes, u0: mdl.InitialLaw, x0,
         return np.asarray(u0.density_mem(np.asarray(v)[..., None]), dtype=float)
 
     # the jump's linear factor; the backward chain is m0 = p*m + q with
-    # p = exp(lam t) / ctr^k and q the preimage of m = 0
+    # p = grow / ctr^k and q the preimage of m = 0
     ctr = spec.jump.affine[0]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     out = np.zeros((a_nodes.shape[0], m_nodes.shape[0]))
@@ -414,7 +407,7 @@ def density_on_grid(t, a_nodes, m_nodes, u0: mdl.InitialLaw, x0,
         ah = a_nodes[hi]
         base_a = np.asarray(u0.density_age(ah - t), dtype=float) \
             * np.exp(-(F(ah) - F(ah - t)))
-        base_m = u0mem(m_nodes * math.exp(lam0 * t)) * math.exp(lam0 * t)
+        base_m = u0mem(m_nodes * grow) * grow
         out[hi] = base_a[:, None] * base_m[None, :]
 
     for ridx in np.nonzero(~hi)[0]:
@@ -433,8 +426,8 @@ def density_on_grid(t, a_nodes, m_nodes, u0: mdl.InitialLaw, x0,
             keep = amp > 0.0
             if not keep.any():
                 continue
-            p = math.exp(lam0 * t) / (ctr ** k)
-            q = _invert_chain(times[keep].T[:, :, None], np.zeros(1), t,
+            p = grow / (ctr ** k)
+            q = _invert_chain(times[keep].T, np.zeros(1), t,
                               spec)[0][:, 0]
             dens = u0mem(p * m_nodes[None, :] + q[:, None])
             row += p * (amp[keep] @ dens)

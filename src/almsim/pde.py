@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -471,7 +470,6 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
     mesh = _m_mesh(grid)                       # (*shape_m, d)
     shape_m = mesh.shape[:-1]
     A = a_nodes.reshape((na,) + (1,) * d)
-    lam = spec.lam
 
     if Hbar is None:
         Hbar = lambda t: float(spec.Hbar(t))
@@ -496,8 +494,8 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
     # no row has an index past K
     K = min(G, na - 1)
     ks = np.arange(K + 1) * dt
-    scales = np.exp(np.multiply.outer(ks, lam))
-    mids = np.exp(np.multiply.outer(ks - dt / 2.0, lam))
+    scales = spec.flow(1.0, -ks)
+    mids = spec.flow(1.0, dt / 2.0 - ks)
 
     # conservative remap tables per index k: the jump pull of the loss
     # density (targets sigma_k gamma^-1(m)) and the conversion to the m grid
@@ -740,7 +738,6 @@ def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, u0=None,
     nodes_list = [np.linspace(m_lo[k], m_hi[k], n_m[k] + 1) for k in range(d)]
     mesh = np.stack(np.meshgrid(*nodes_list, indexing="ij"), axis=-1)
     shape_m = mesh.shape[:-1]
-    lam = spec.lam
     h = spec.h
     if u0 is None:
         rho = np.asarray(spec.init_law.density_mem(mesh), dtype=float)
@@ -753,8 +750,8 @@ def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, u0=None,
 
     # the decay pull, whose dslope factors give the volume factor
     # exp(dt tr Lambda), and the jump pull
-    decay_tab = [_remap_table(n, n * math.exp(l * dt), math.exp(l * dt))
-                 for n, l in zip(nodes_list, lam)]
+    decay_tab = [_remap_table(n, n * g, g)
+                 for n, g in zip(nodes_list, spec.axis_flow(-dt))]
     jump_tab = _jump_tables(spec, nodes_list)
 
     G = mdl.step_count(T, dt)
@@ -874,7 +871,7 @@ def weak_form_residual(spec: mdl.ModelSpec, grid: Grid, tests=None):
         return np.stack([np.broadcast_to(v, shape) for v in vals]) * w
 
     drift = np.einsum("k...i,...i->k...", table("grad_beta", mesh, mesh.shape),
-                      spec.lam * mesh)
+                      spec.drift(mesh))
     beta = table("beta", mesh, shape_m, w_mesh)
     # memory vectors, one row per test and term: rho meets beta and
     # Lambda m . grad beta, f rho meets beta and beta o gamma

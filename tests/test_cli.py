@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -156,18 +157,30 @@ def test_initial_law_it_cannot_evaluate_rejected(command, field, law,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("part, edit, named", [
-    ("H", {"family": "constant-random", "mean": float("nan"), "std": 0.1},
+_NAN = float("nan")
+# the numerics a command cannot run without
+_NEEDS = {"simulate": dict(N=4, T=1.0), "limit": dict(T=1.0)}
+
+
+@pytest.mark.parametrize("command, part, edit, named", [
+    ("simulate", "H", {"family": "constant-random", "mean": _NAN, "std": 0.1},
      "baseline needs a finite mean and a finite std >= 0"),
-    ("init_law", {"bogus": 1}, "'bogus'"),
-], ids=["nan-baseline", "unknown-init-law-key"])
-def test_inline_model_part_it_cannot_use_rejected(part, edit, named, tmp_path,
-                                                  capsys):
+    ("simulate", "init_law", {"bogus": 1}, "'bogus'"),
+    ("simulate", None, {"Lambda": [_NAN]}, "field Lambda must be in (0, inf)"),
+    ("pde", None, {"Lambda": [_NAN]}, "field Lambda must be in (0, inf)"),
+    ("validate", "jump", {"alpha_vec": [_NAN]}, "field alpha_vec must be finite"),
+    ("limit", "h", {"tau": _NAN}, "field tau must be in (0, inf)"),
+], ids=["nan-baseline", "unknown-init-law-key", "nan-Lambda-simulate",
+        "nan-Lambda-pde", "nan-alpha_vec-validate", "nan-tau-limit"])
+def test_inline_model_part_it_cannot_use_rejected(command, part, edit, named,
+                                                  tmp_path, capsys):
     # the NaN baseline exited 0 with no events and x_emp [NaN] in run.json;
-    # the unknown init_law key was dropped
-    c = _base("simulate", N=4, T=1.0)
+    # the unknown init_law key was dropped.  A NaN Lambda exited 0 with no
+    # events (simulate) or a NaN mass trace (pde), a NaN alpha_vec exited 5
+    # with an OverflowError, and a NaN tau exited 0 (limit)
+    c = _base(command, **_NEEDS.get(command, {}))
     c["model"] = presets.preset("plain-hawkes").to_dict()
-    c["model"][part].update(edit)
+    (c["model"] if part is None else c["model"][part]).update(edit)
     cfg = _write_cfg(tmp_path, c)
     out = tmp_path / "out"
     assert cli.run(cfg, out_override=out) == cli.EXIT_VALIDATION
@@ -384,6 +397,38 @@ def test_limit_nonconvergence_strict_exit(tmp_path):
     assert (out2 / "manifest.json").exists()
 
 
+def test_couple_picard_miss_warns_and_strict_exit(tmp_path, capsys):
+    # couple dropped the Picard report: it exited 0 under --strict with no
+    # warning, with coupling artifacts measured against an unconverged x
+    cfg = _write_cfg(tmp_path, _base(
+        "couple", preset="plain-hawkes", T=2.0, dt=0.02, n_particles=2000,
+        max_iter=1, N_ladder=[5, 10], n_replicas=2))
+    for strict, code in ((False, cli.EXIT_OK), (True, cli.EXIT_STRICT)):
+        out = tmp_path / f"strict-{strict}"
+        assert cli.run(cfg, out_override=out, strict=strict, seed_override=7) == code
+        assert capsys.readouterr().err == (
+            "warning: fixed-point iteration did not reach tolerance\n")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["artifacts"]) == ["coupling.csv", "coupling.json"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_pde_nan_mass_trace_is_strict_miss(tmp_path, capsys):
+    # a finite spec whose mass turns NaN once exp(Lambda t) overflows:
+    # max |mass - 1| was NaN, and NaN > 1e-3 is False, so --strict exited 0
+    c = _base("pde", a_max=2.0, n_a=20, m_lo=[-1.0], m_hi=[1.0], n_m=[20],
+              T=1.0, dt=0.1)
+    c["model"] = presets.preset("plain-hawkes").to_dict()
+    c["model"]["Lambda"] = [800.0]
+    out = tmp_path / "out"
+    assert cli.run(_write_cfg(tmp_path, c), out_override=out,
+                   strict=True) == cli.EXIT_STRICT
+    assert capsys.readouterr().err == "warning: mass drift nan exceeds 1e-3\n"
+    mass = json.loads((out / "diagnostics.json").read_text())["mass_trace"]
+    assert math.isnan(mass[-1])
+
+
 @pytest.mark.parametrize("command", ["limit", "couple"])
 def test_dt_not_dividing_T_exits_with_one_error_line(command, tmp_path, capsys):
     # the Picard path stopped short of T and the run exited 0 with it
@@ -429,11 +474,15 @@ def test_missing_required_numerics_field_is_named(command, numerics, field,
     assert not out.exists()
 
 
-def test_threads_accepted_by_every_command():
-    validator = cli._config_validator()
-    for command, (_, fields, required) in cli._COMMANDS.items():
-        cfg = _base(command, threads=2, **{f: 1 for f in required})
-        assert validator.is_valid(cfg), command
+def test_threads_rejected_by_every_command(tmp_path, capsys):
+    # every command accepted numerics.threads and ignored it
+    for command, (_, _, required) in cli._COMMANDS.items():
+        cfg = _write_cfg(tmp_path, _base(command, threads=2,
+                                         **{f: 1 for f in required}))
+        out = tmp_path / command
+        assert cli.run(cfg, out_override=out) == cli.EXIT_VALIDATION, command
+        assert "'threads' was unexpected" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class _Recording(Mapping):

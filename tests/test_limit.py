@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -170,7 +169,8 @@ def _hand_built_events(d):
     rng = np.random.default_rng(3)
     acc_m = rng.normal(size=acc_t.shape + (d,))
     a0 = rng.exponential(1.0, acc_t.shape[0])
-    spec = SimpleNamespace(lam=np.linspace(0.5, 1.5, d))
+    spec = mdl.ModelSpec(d=d, Lambda=tuple(np.linspace(0.5, 1.5, d)),
+                         init_law=mdl.InitialLaw(mem=(("uniform", -1.0, 0.0),) * d))
     return spec, ts, acc_t, acc_m, acc_cnt, a0
 
 

@@ -556,11 +556,18 @@ def _field_reads(source, holder, cls, fields):
             and node.attr in fields and is_spec(node.value)]
 
 
-def _reads_outside_model(*args):
+def _reads_outside_model(*args, reads=_field_reads):
     return [f"{path.name}:{r}"
             for path in sorted(Path(mdl.__file__).parent.glob("*.py"))
             if path.name != "model.py"
-            for r in _field_reads(path.read_text(), *args)]
+            for r in reads(path.read_text(), *args)]
+
+
+def _attribute_reads(source, attrs):
+    """Reads of an attribute named in attrs, whatever object holds it."""
+    return sorted(f"{node.lineno}: {ast.unparse(node)}"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in attrs)
 
 
 _JUMP = ("jump", "JumpSpec", {"family", "alpha_vec", "alpha", "offset",
@@ -629,6 +636,16 @@ def test_only_model_reads_baseline_families():
         "    return spec.H.family + H.mean + bs.std + H.other\n",
         *_BASELINE)) == ["3: H.mean", "3: bs.std", "3: spec.H.family"]
     assert not _reads_outside_model(*_BASELINE)
+
+
+def test_only_model_reads_decay_rates():
+    # outside model.py, the memory decay goes through ModelSpec.flow,
+    # scalar_flow, axis_flow, drift and back_flow_logdet
+    assert _attribute_reads(
+        "def g(spec):\n    lam = spec.lam\n"
+        "    return spec.Lambda[0] + lam + mdl.ModelSpec(Lambda=(1.0,)).d\n",
+        {"lam", "Lambda"}) == ["2: spec.lam", "3: spec.Lambda"]
+    assert not _reads_outside_model({"lam", "Lambda"}, reads=_attribute_reads)
 
 
 # the module functions that write an artifact's format
@@ -844,6 +861,113 @@ def test_baseline_rejects_values_it_cannot_use(family, mean, std, named):
     with pytest.raises(mdl.ConfigurationError, match=named):
         mdl.BaselineSpec(family=family, mean=mean, std=std)
     assert mdl.BaselineSpec(family="constant-random", mean=-1.0, std=0.0).std == 0.0
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("part, field, value", [
+    (mdl.ModelSpec, "Lambda", (_NAN,)),
+    (mdl.ModelSpec, "Lambda", (_INF,)),
+    (mdl.PsiParams, "K", _NAN),
+    (mdl.PsiParams, "K", _INF),
+    (mdl.PsiParams, "kappa", _NAN),
+    (mdl.InteractionSpec, "tau", _NAN),
+    (mdl.InteractionSpec, "J", _NAN),
+    (mdl.InteractionSpec, "mod_intercept", _INF),
+    (mdl.InteractionSpec, "mod_slope", _NAN),
+    (mdl.IntensitySpec, "c_a", _NAN),
+    (mdl.IntensitySpec, "c_x", -_INF),
+    (mdl.IntensitySpec, "c_m", (_NAN,)),
+    (mdl.IntensitySpec, "b", _NAN),
+    (mdl.IntensitySpec, "psi_amp", _INF),
+    (mdl.IntensitySpec, "psi_rate", _NAN),
+    (mdl.JumpSpec, "alpha_vec", (_NAN,)),
+    (mdl.JumpSpec, "alpha", _NAN),
+    (mdl.JumpSpec, "offset", (_INF,)),
+    (mdl.ModelSpec, "Lambda", (0.0,)),
+    (mdl.PsiParams, "K", 0.0),
+    (mdl.PsiParams, "kappa", -1.0),
+    (mdl.InteractionSpec, "tau", 0.0),
+], ids=["nan-Lambda", "inf-Lambda", "nan-K", "inf-K", "nan-kappa", "nan-tau",
+        "nan-J", "inf-mod_intercept", "nan-mod_slope", "nan-c_a", "inf-c_x",
+        "nan-c_m", "nan-b", "inf-psi_amp", "nan-psi_rate", "nan-alpha_vec",
+        "nan-alpha", "inf-offset", "zero-Lambda", "zero-K", "negative-kappa",
+        "zero-tau"])
+def test_model_rejects_number_that_is_not_finite(part, field, value):
+    # each non-finite number was accepted: a NaN Lambda gave runs with no
+    # events, a NaN K a coupling distance of 0, a NaN alpha_vec an
+    # OverflowError in validation.  A rate or scale must also be positive
+    rates = field in ("Lambda", "K", "kappa", "tau")
+    with pytest.raises(mdl.ConfigurationError, match=(
+            rf"{part.__name__} field {field} must be "
+            + (r"in \(0, inf\)" if rates else "finite"))):
+        part(**{field: value})
+
+
+# ---------------------------------------------------------------------------
+# the memory flow
+
+
+@st.composite
+def _flow_cases(draw):
+    """A spec of dimension 1 to 3, memories of shape (n, d) and times of
+    shape (n,) of either sign.  A memory coordinate is 0.0 or at least 1e-6
+    from it, so that no flow underflows to a subnormal."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    lam = draw(st.lists(st.floats(0.05, 5.0), min_size=d, max_size=d))
+    spec = mdl.ModelSpec(d=d, Lambda=tuple(lam), init_law=mdl.InitialLaw(
+        mem=(("uniform", -1.0, 0.0),) * d))
+    coord = st.one_of(st.just(0.0), st.floats(1e-6, 10.0), st.floats(-10.0, -1e-6))
+    m = np.array(draw(st.lists(coord, min_size=n * d, max_size=n * d)))
+    s = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    return spec, m.reshape(n, d), s
+
+
+@given(_flow_cases())
+@settings(max_examples=100, deadline=None)
+def test_flow_runs_backwards_and_broadcasts(case):
+    spec, m, s = case
+    back = spec.flow(spec.flow(m, s), -s)
+    assert np.all(np.abs(back - m) <= 1e-12 * np.abs(m))
+    # a scalar time flows every row by the same s
+    assert (spec.flow(m, s[0]).tobytes()
+            == spec.flow(m, np.full(s.shape, s[0])).tobytes())
+
+
+@given(_flow_cases())
+@settings(max_examples=100, deadline=None)
+def test_flow_jacobian_and_drift_match_finite_differences(case):
+    spec, m, s = case
+    d = spec.d
+    for mi, si in zip(m, s):
+        # the backward flow m -> flow(m, -s) is linear, so a wide step
+        # loses nothing to truncation
+        eps = 1e-3 * max(1.0, float(np.max(np.abs(mi))))
+        jac = np.column_stack([(spec.flow(mi + e, -si) - spec.flow(mi - e, -si))
+                               / (2.0 * eps) for e in eps * np.eye(d)])
+        logdet = math.log(abs(np.linalg.det(jac)))
+        assert abs(logdet - spec.back_flow_logdet(float(si))) <= 1e-8
+    h = 1e-5
+    fd = (spec.flow(m, -h) - spec.flow(m, h)) / (2.0 * h)
+    np.testing.assert_allclose(fd, spec.drift(m), rtol=1e-6, atol=1e-8)
+
+
+@given(_flow_cases())
+@settings(max_examples=100, deadline=None)
+def test_scalar_and_axis_flow_match_flow(case):
+    spec, m, s = case
+    step = spec.scalar_flow()
+    for mi, si in zip(m, s):
+        si = float(si)
+        if spec.d > 1:
+            assert step(mi, si).tobytes() == spec.flow(mi, si).tobytes()
+        else:
+            got = step(float(mi[0]), si)
+            assert type(got) is float
+            assert got == float(mi[0]) * math.exp(-spec.Lambda[0] * si)
+        np.testing.assert_allclose(spec.axis_flow(si), spec.flow(1.0, si),
+                                   rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
