@@ -36,6 +36,6 @@ from .particle import (  # noqa: F401
     simulate_equivalent_hawkes,
     simulate_network,
 )
-from .pde import Grid, solve_alm_pde, solve_lm_pde, weak_form_residual  # noqa: F401
+from .pde import Grid, solve_alm_pde, weak_form_residual  # noqa: F401
 from .pathint import PathIntegralConfig, density_at, jump_count_tail  # noqa: F401
 from .presets import preset  # noqa: F401

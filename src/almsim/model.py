@@ -816,7 +816,7 @@ class ModelSpec:
             except TypeError as exc:
                 raise ConfigurationError(f"model field {key}: {exc}") from None
 
-        return ModelSpec(
+        parts = dict(
             d=part("d"),
             Lambda=part("Lambda", tuple),
             psi=part("psi", lambda v: PsiParams(**v)),
@@ -829,6 +829,11 @@ class ModelSpec:
                 **v, "age": tup(v["age"]), "mem": tup(v["mem"])})),
             H=part("H", lambda v: BaselineSpec(**v)),
         )
+        try:
+            return ModelSpec(**parts)
+        except TypeError as exc:
+            # d or Lambda of the wrong type, as "1" or ["fast"]
+            raise ConfigurationError(f"model fields d and Lambda: {exc}") from None
 
     @staticmethod
     def from_json(text):

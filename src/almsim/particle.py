@@ -71,9 +71,13 @@ class SimulationRecord:
     H_params: np.ndarray
 
 
-def _start(spec, N, seed, spawn_key=()):
+def _start(spec, N, T, seed, spawn_key=()):
     """Generator, initial ages and memories and the signal trace: the draws
-    every simulator makes before its first candidate."""
+    every simulator makes before its first candidate.  Raises ValueError
+    first unless N >= 1 and 0 < T < inf: N = 0 leaves the candidate clock
+    no rate, and T <= 0 an empty run."""
+    if not (N >= 1 and 0.0 < T < math.inf):
+        raise ValueError(f"need N >= 1 and a finite T > 0, got N {N}, T {T}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
     ages0, mems0 = spec.init_law.sample(rng, N)
     trace = spec.signal_trace(spec.sample_H_params(rng, N, mems0))
@@ -137,10 +141,8 @@ def _logged_run(spec, N, T, seed, save_times, event_cap, rng, trace, step,
 def simulate_network(spec: mdl.ModelSpec, N: int, T: float, seed: int,
                      save_times=(), event_cap=EVENT_CAP_DEFAULT) -> SimulationRecord:
     """Exact thinning simulation of the N-neuron system on [0, T]."""
-    if N < 1 or T <= 0:
-        raise ValueError("need N >= 1 and T > 0")
     _ensure_assumptions(spec)
-    rng, ages0, mems0, trace = _start(spec, N, seed)
+    rng, ages0, mems0, trace = _start(spec, N, T, seed)
     f = spec.scalar_intensity()
     jump = mdl.scalar_jump(spec.jump)
     gmod = spec.scalar_modulation()
@@ -226,6 +228,8 @@ def simulate_coupled_pair(spec: mdl.ModelSpec, N: int, T: float, x_path,
     _ensure_assumptions(spec)
     if x_path.grid[-1] < T - 1e-12:
         raise ValueError("x_path does not cover [0, T]")
+    if n_replicas < 1:
+        raise ValueError(f"need n_replicas >= 1, got {n_replicas}")
 
     f = spec.scalar_intensity()
     jump = mdl.scalar_jump(spec.jump)
@@ -234,7 +238,7 @@ def simulate_coupled_pair(spec: mdl.ModelSpec, N: int, T: float, x_path,
     decay = spec.scalar_flow()
 
     def replica(rep):
-        rng, ages0, mems0, trace = _start(spec, N, seed, spawn_key=(rep,))
+        rng, ages0, mems0, trace = _start(spec, N, T, seed, spawn_key=(rep,))
         mN = mems0[:, 0].copy()
         tN = np.zeros(N); aN = ages0.copy()
         tL = np.zeros(N); aL = ages0.copy(); mL = mN.copy()
@@ -293,7 +297,7 @@ def simulate_equivalent_hawkes(spec: mdl.ModelSpec, N: int, T: float, seed: int,
         raise mdl.ConfigurationError(
             "kernel-form simulation needs d=1 and a translation jump")
     _ensure_assumptions(spec)
-    rng, ages0, mems0, trace = _start(spec, N, seed)
+    rng, ages0, mems0, trace = _start(spec, N, T, seed)
     decay = spec.scalar_flow()
     alpha = affine[1].item()
     f = spec.scalar_intensity()

@@ -46,7 +46,14 @@ class Grid:
         if abs(k - round(k)) > 1e-9 or round(k) < 1:
             raise mdl.ConfigurationError("dt must divide the age cell width")
         mdl.step_count(self.T, self.dt)
-        _check_box(self.m_lo, self.m_hi, self.n_m, len(self.m_lo))
+        # the march would only see an empty or reversed axis as a density of
+        # no mass
+        if not len(self.m_lo) == len(self.m_hi) == len(self.n_m):
+            raise mdl.ConfigurationError("memory box dimension mismatch")
+        for k, (lo, hi) in enumerate(zip(self.m_lo, self.m_hi)):
+            if not hi > lo:
+                raise mdl.ConfigurationError(
+                    f"memory axis {k + 1} needs m_hi > m_lo, got [{lo:g}, {hi:g}]")
 
     @property
     def d(self):
@@ -63,18 +70,6 @@ class Grid:
     @property
     def n_steps(self):
         return mdl.step_count(self.T, self.dt)
-
-
-def _check_box(m_lo, m_hi, n_m, d):
-    """Raises ConfigurationError if m_lo, m_hi and n_m do not each have d
-    entries, or naming the first memory axis that is empty or reversed; the
-    march would only see such an axis as a density of no mass."""
-    if not len(m_lo) == len(m_hi) == len(n_m) == d:
-        raise mdl.ConfigurationError("memory box dimension mismatch")
-    for k, (lo, hi) in enumerate(zip(m_lo, m_hi)):
-        if not hi > lo:
-            raise mdl.ConfigurationError(
-                f"memory axis {k + 1} needs m_hi > m_lo, got [{lo:g}, {hi:g}]")
 
 
 def _trapz_weights(nodes):
@@ -294,18 +289,8 @@ def _table_rows(tab, key):
 # solution container
 
 
-class _SavedDensities:
-    """rho_at for solutions holding save_times and the matching rhos."""
-
-    def rho_at(self, t):
-        for ts, r in zip(self.save_times, self.rhos):
-            if abs(ts - t) < 1e-9:
-                return r
-        raise KeyError(f"time {t} not among saved times")
-
-
 @dataclass
-class DensitySolution(_SavedDensities):
+class DensitySolution:
     grid: Grid
     save_times: np.ndarray
     rhos: list
@@ -315,6 +300,12 @@ class DensitySolution(_SavedDensities):
     scale_trace: np.ndarray
     clip_mass: float
     borders: np.ndarray = field(repr=False)
+
+    def rho_at(self, t):
+        for ts, r in zip(self.save_times, self.rhos):
+            if abs(ts - t) < 1e-9:
+                return r
+        raise KeyError(f"time {t} not among saved times")
 
 
 def _step_save_times(save_times, ts):
@@ -344,6 +335,13 @@ def mass(rho, grid: Grid):
 
 def age_marginal(rho, grid: Grid):
     return _m_trapz(rho, [_trapz_weights(grid.m_nodes(k)) for k in range(grid.d)])
+
+
+def memory_marginal(rho, grid: Grid):
+    """Trapezoid age integral of a density tabulated on the grid nodes.  For
+    a model whose f ignores age it is the density of the memory-only
+    equation, less the mass that the march has let age past a_max."""
+    return np.einsum("i,i...->...", _trapz_weights(grid.a_nodes), rho)
 
 
 def lm_mass(rho, m_nodes_list):
@@ -424,8 +422,8 @@ def _row_blocks(lo, hi, rows):
     return [(a, b) for a, b in zip(starts, starts[1:] + [hi]) if b > a]
 
 
-def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
-                  save_times=(), step_callback=None) -> DensitySolution:
+def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, u0=None, save_times=(),
+                  step_callback=None) -> DensitySolution:
     """Marches the Lagrangian solution of the full age-and-memory equation.
 
     The march carries each age row in cohort coordinates.  Between events a
@@ -470,9 +468,6 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
     mesh = _m_mesh(grid)                       # (*shape_m, d)
     shape_m = mesh.shape[:-1]
     A = a_nodes.reshape((na,) + (1,) * d)
-
-    if Hbar is None:
-        Hbar = lambda t: float(spec.Hbar(t))
 
     # initial density on nodes, normalized to unit trapezoid mass; at step 0
     # every sigma is 1, so it is also the state in mu units
@@ -573,7 +568,7 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
 
     kv = np.asarray(mdl.kernel_eval(h, ts), dtype=float)
     x = np.zeros(G + 1)
-    x[0] = Hbar(0.0)
+    x[0] = float(spec.Hbar(0.0))
     w_hist = np.zeros(G + 1)
     mass_trace = np.zeros(G + 1)
     flux_rel = np.full(G + 1, np.nan)
@@ -631,7 +626,7 @@ def solve_alm_pde(spec: mdl.ModelSpec, grid: Grid, Hbar=None, u0=None,
         n1 = n + 1
 
         # explicit Volterra update for the signal
-        x_next = Hbar(ts[n1])
+        x_next = float(spec.Hbar(ts[n1]))
         if h.J != 0.0:
             x_next += dt * h.J * float(_dot_last(kv[1:n + 2][::-1], w_hist[:n + 1]))
         x_mid = 0.5 * (x[n] + x_next)
@@ -706,88 +701,6 @@ def border_step(spec: mdl.ModelSpec, grid: Grid, rho, x_t):
     jump_tab = _jump_tables(spec, [grid.m_nodes(k) for k in range(d)])
     F = np.asarray(spec.intensity(A, mesh, x_t), dtype=float)
     return _border(F * rho, wa, jump_tab)
-
-
-# ---------------------------------------------------------------------------
-# memory-only specialization (no age variable)
-
-
-@dataclass
-class LMDensitySolution(_SavedDensities):
-    m_nodes_list: list
-    save_times: np.ndarray
-    rhos: list
-    x: XPath
-    mass_trace: np.ndarray
-
-
-def solve_lm_pde(spec: mdl.ModelSpec, m_lo, m_hi, n_m, T, dt, u0=None,
-                 save_times=()) -> LMDensitySolution:
-    """Two-term Duhamel march for the age-independent equation.
-
-    Each step transports along the decay flow and splits the evolved mass into
-    a surviving part exp(-f dt) and a jump gain (1 - exp(-f dt)) deposited at
-    the jump image; loss and gain integrands match exactly, so mass error is
-    pure quadrature.
-    """
-    if not spec.f.age_free:
-        raise mdl.ConfigurationError("memory-only solver needs age-independent f")
-    d = spec.d
-    m_lo, m_hi, n_m = tuple(m_lo), tuple(m_hi), tuple(n_m)
-    _check_box(m_lo, m_hi, n_m, d)
-    nodes_list = [np.linspace(m_lo[k], m_hi[k], n_m[k] + 1) for k in range(d)]
-    mesh = np.stack(np.meshgrid(*nodes_list, indexing="ij"), axis=-1)
-    shape_m = mesh.shape[:-1]
-    h = spec.h
-    if u0 is None:
-        rho = np.asarray(spec.init_law.density_mem(mesh), dtype=float)
-    else:
-        rho = np.asarray(u0(mesh), dtype=float)
-    tot = lm_mass(rho, nodes_list)
-    if tot <= 0:
-        raise mdl.ConfigurationError("initial density has nonpositive mass")
-    rho = rho / tot
-
-    # the decay pull, whose dslope factors give the volume factor
-    # exp(dt tr Lambda), and the jump pull
-    decay_tab = [_remap_table(n, n * g, g)
-                 for n, g in zip(nodes_list, spec.axis_flow(-dt))]
-    jump_tab = _jump_tables(spec, nodes_list)
-
-    G = mdl.step_count(T, dt)
-    ts = np.arange(G + 1) * dt
-    kvv = np.asarray(mdl.kernel_eval(h, ts), dtype=float)
-    gmod = np.asarray(mdl.modulation_eval(h, 0.0, mesh), dtype=float)
-    x = np.zeros(G + 1)
-    x[0] = float(spec.Hbar(0.0))
-    w_hist = np.zeros(G + 1)
-    mass_trace = np.zeros(G + 1)
-    save_times = _step_save_times(save_times, ts)
-    rhos = []
-
-    for n in range(G + 1):
-        F = np.asarray(spec.intensity(0.0, mesh, x[n]), dtype=float)
-        if h.J != 0.0:
-            w_hist[n] = lm_mass(gmod * F * rho, nodes_list)
-        mass_trace[n] = lm_mass(rho, nodes_list)
-        for t_s in save_times:
-            if abs(t_s - ts[n]) < 1e-9:
-                rhos.append(rho.copy())
-        if n == G:
-            break
-        x_next = float(spec.Hbar(ts[n + 1]))
-        if h.J != 0.0:
-            x_next += dt * h.J * float(_dot_last(kvv[1:n + 2][::-1], w_hist[:n + 1]))
-        x_mid = 0.5 * (x[n] + x_next)
-        transported = _pull(rho, decay_tab, 0)
-        Fm = np.asarray(spec.intensity(0.0, mesh, x_mid), dtype=float)
-        decay = np.exp(-dt * Fm)
-        gain = _pull(transported * (1.0 - decay), jump_tab, 0)
-        rho = transported * decay + gain
-        x[n + 1] = x_next
-
-    return LMDensitySolution(nodes_list, save_times, rhos, XPath(ts, x),
-                             mass_trace)
 
 
 # ---------------------------------------------------------------------------

@@ -170,14 +170,18 @@ _NEEDS = {"simulate": dict(N=4, T=1.0), "limit": dict(T=1.0)}
     ("pde", None, {"Lambda": [_NAN]}, "field Lambda must be in (0, inf)"),
     ("validate", "jump", {"alpha_vec": [_NAN]}, "field alpha_vec must be finite"),
     ("limit", "h", {"tau": _NAN}, "field tau must be in (0, inf)"),
+    ("validate", None, {"Lambda": ["fast"]}, "model fields d and Lambda: "),
+    ("validate", None, {"d": "1"}, "model fields d and Lambda: "),
 ], ids=["nan-baseline", "unknown-init-law-key", "nan-Lambda-simulate",
-        "nan-Lambda-pde", "nan-alpha_vec-validate", "nan-tau-limit"])
+        "nan-Lambda-pde", "nan-alpha_vec-validate", "nan-tau-limit",
+        "str-Lambda-validate", "str-d-validate"])
 def test_inline_model_part_it_cannot_use_rejected(command, part, edit, named,
                                                   tmp_path, capsys):
     # the NaN baseline exited 0 with no events and x_emp [NaN] in run.json;
     # the unknown init_law key was dropped.  A NaN Lambda exited 0 with no
     # events (simulate) or a NaN mass trace (pde), a NaN alpha_vec exited 5
-    # with an OverflowError, and a NaN tau exited 0 (limit)
+    # with an OverflowError, and a NaN tau exited 0 (limit).  A string d or
+    # Lambda ended in a TypeError traceback
     c = _base(command, **_NEEDS.get(command, {}))
     c["model"] = presets.preset("plain-hawkes").to_dict()
     (c["model"] if part is None else c["model"][part]).update(edit)

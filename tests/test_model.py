@@ -202,7 +202,7 @@ def test_intensity_without_age_term_rejects_negative_age(family):
 
 def test_age_free_predicate():
     # the one rule for "f ignores age", shared by intensity_eval's compact
-    # path, the march's one-row intensity and solve_lm_pde's check
+    # path and the march's one-row intensity
     def spec(family, c_a):
         f_min = 1.0 if family == "constant" else 0.3
         return mdl.IntensitySpec(family=family, f_min=f_min, f_max=1.0, c_a=c_a)

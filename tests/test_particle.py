@@ -246,6 +246,38 @@ def test_bad_arguments_rejected():
             prt.simulate_network(spec, 2, 1.0, seed=0, save_times=saves)
 
 
+def _xp(T=3.0):
+    ts = np.linspace(0.0, T, 301)
+    return XPath(ts, np.zeros_like(ts))
+
+
+_SIMULATORS = {
+    "network": lambda spec, N, T, **kw: prt.simulate_network(spec, N, T, seed=0),
+    "coupled": lambda spec, N, T, **kw: prt.simulate_coupled_pair(
+        spec, N, T, _xp(), seed=0, **kw),
+    "hawkes": lambda spec, N, T, **kw: prt.simulate_equivalent_hawkes(
+        spec, N, T, seed=0),
+}
+
+
+@pytest.mark.parametrize("N, T", [(0, 1.0), (2, -1.0), (2, 0.0), (2, math.nan),
+                                  (2, math.inf)],
+                         ids=["N0", "T-1", "T0", "Tnan", "Tinf"])
+@pytest.mark.parametrize("sim", sorted(_SIMULATORS))
+def test_every_simulator_rejects_a_run_it_cannot_make(sim, N, T):
+    # unchecked, N = 0 raised ZeroDivisionError in the coupled pair and the
+    # kernel form, T = -1 gave them an empty run, and a NaN or infinite T
+    # ran every simulator to its event cap; no x_path covers T = inf
+    with pytest.raises(ValueError, match="need N >= 1 and a finite T > 0|x_path"):
+        _SIMULATORS[sim](_constant_spec(), N, T)
+
+
+def test_coupled_pair_rejects_zero_replicas():
+    # the mean of no replicas was NaN, with a RuntimeWarning
+    with pytest.raises(ValueError, match="need n_replicas >= 1"):
+        _SIMULATORS["coupled"](_constant_spec(), 2, 1.0, n_replicas=0)
+
+
 def test_event_cap_aborts():
     spec = _constant_spec(rate=5.0)
     with pytest.raises(RuntimeError):

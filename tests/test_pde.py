@@ -722,12 +722,9 @@ def test_solve_builds_its_tables_in_one_call_per_axis_and_pull(monkeypatch):
         assert counts[0] == counts[1], counts
 
 
-_EMPTY_BOXES = pytest.mark.parametrize("m_lo, m_hi, axis", [
+@pytest.mark.parametrize("m_lo, m_hi, axis", [
     ((1.0,), (-1.0,), 1), ((0.5,), (0.5,), 1), ((-1.0, 0.2), (1.0, 0.2), 2)],
     ids=["reversed", "empty", "d2-axis2"])
-
-
-@_EMPTY_BOXES
 def test_grid_rejects_empty_memory_box_naming_the_axis(m_lo, m_hi, axis):
     # the box reached the march, which reported "initial density has
     # nonpositive mass" even for u0 = 1
@@ -737,25 +734,14 @@ def test_grid_rejects_empty_memory_box_naming_the_axis(m_lo, m_hi, axis):
                  T=0.2, dt=0.1)
 
 
-@_EMPTY_BOXES
-def test_lm_rejects_empty_memory_box_naming_the_axis(m_lo, m_hi, axis):
-    spec = presets.preset("plain-hawkes") if len(m_lo) == 1 else dataclasses.replace(
-        _d2_spec(), f=mdl.IntensitySpec(family="constant", f_min=1.0, f_max=1.0))
-    with pytest.raises(mdl.ConfigurationError,
-                       match=f"memory axis {axis} needs m_hi > m_lo"):
-        pde.solve_lm_pde(spec, m_lo, m_hi, (20,) * len(m_lo), 0.2, 0.1,
-                         u0=lambda mesh: np.ones(mesh.shape[:-1]))
-
-
 @pytest.mark.parametrize("m_lo, m_hi, n_m", [
     ((-1.0, 0.0), (1.0, 2.0, 3.0), (20, 5)), ((-1.0,), (1.0,), ())],
     ids=["lengths-differ", "no-n_m"])
-def test_lm_rejects_box_of_wrong_dimension(m_lo, m_hi, n_m):
-    # the first case ran on one 21-node axis, the second raised IndexError
+def test_grid_rejects_box_of_wrong_dimension(m_lo, m_hi, n_m):
     with pytest.raises(mdl.ConfigurationError,
                        match="memory box dimension mismatch"):
-        pde.solve_lm_pde(presets.preset("plain-hawkes"), m_lo, m_hi, n_m,
-                         0.2, 0.1)
+        pde.Grid(a_max=2.0, n_a=20, m_lo=m_lo, m_hi=m_hi, n_m=n_m, T=0.2,
+                 dt=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -763,12 +749,12 @@ def test_lm_rejects_box_of_wrong_dimension(m_lo, m_hi, n_m):
 
 
 def test_x_equals_baseline_without_interaction():
-    spec = _spec()
-    hb = lambda t: 0.2 * math.cos(t)
+    # a baseline that varies in time, E[H_t] = E[M_0] exp(-Lambda t)
+    spec = dataclasses.replace(_spec(), H=mdl.BaselineSpec(family="exp-decay-from-M0"))
     g = pde.Grid(a_max=8.0, n_a=200, m_lo=(-2.5,), m_hi=(0.5,), n_m=(40,),
                  T=1.0, dt=0.04)
-    sol = pde.solve_alm_pde(spec, g, Hbar=hb)
-    assert np.allclose(sol.x.values, 0.2 * np.cos(sol.x.grid), atol=1e-12)
+    sol = pde.solve_alm_pde(spec, g)
+    assert np.allclose(sol.x.values, spec.Hbar(sol.x.grid), atol=1e-12)
 
 
 def test_x_closed_form_constant_rate():
@@ -827,49 +813,50 @@ def test_initial_perturbation_stability():
 
 
 # ---------------------------------------------------------------------------
-# memory-only specialization
+# memory-only (lm) density of an age-free model: the march's memory marginal
 
 
-def test_lm_identity_jump_mass_and_pushforward():
-    spec = _spec(jump=mdl.JumpSpec(family="translation", alpha_vec=(0.0,)),
+def _lm_spec(lam_m, lam_f, alpha):
+    return _spec(jump=mdl.JumpSpec(family="translation", alpha_vec=(alpha,)),
                  init=mdl.InitialLaw(age=("exponential", 1.0),
                                      mem=(("truncnorm", -0.5, 0.4, -1.8, 0.6),)),
-                 Lambda=(0.5,),
-                 f=mdl.IntensitySpec(family="constant", f_min=1.2, f_max=1.2))
+                 Lambda=(lam_m,),
+                 f=mdl.IntensitySpec(family="constant", f_min=lam_f, f_max=lam_f))
+
+
+def _memory_density(spec, a_max, n_m, T, dt, save_times):
+    g = pde.Grid(a_max=a_max, n_a=int(round(a_max)), m_lo=(-2.8,), m_hi=(0.8,),
+                 n_m=(n_m,), T=T, dt=dt)
+    sol = pde.solve_alm_pde(spec, g, save_times=save_times)
+    return g.m_nodes(0), lambda t: pde.memory_marginal(sol.rho_at(t), g)
+
+
+def test_memory_marginal_is_the_age_integral():
+    g = pde.Grid(a_max=2.0, n_a=4, m_lo=(-1.0, 0.0), m_hi=(1.0, 2.0),
+                 n_m=(5, 3), T=0.5, dt=0.5)
+    rho = np.random.default_rng(3).random((5, 6, 4))
+    marg = pde.memory_marginal(rho, g)
+    assert marg.shape == (6, 4)
+    assert np.allclose(marg, np.tensordot(_w(g.a_nodes), rho, axes=1), rtol=1e-14)
+    assert pde.lm_mass(marg, [g.m_nodes(0), g.m_nodes(1)]) == pytest.approx(
+        pde.mass(rho, g), rel=1e-14)
+
+
+def test_lm_identity_jump_pushforward():
+    # with gamma = id the memory law is the initial law pushed along the decay
     T = 1.0
-    sol = pde.solve_lm_pde(spec, (-2.8,), (0.8,), (480,), T, 0.005,
-                           save_times=(T,))
-    assert float(np.abs(sol.mass_trace - 1.0).max()) < 1e-10
-    mn = sol.m_nodes_list[0]
+    spec = _lm_spec(0.5, 1.2, 0.0)
+    mn, rho_at = _memory_density(spec, 10.0, 480, T, 0.01, (T,))
     exact = spec.init_law.density_mem((np.exp(0.5 * T) * mn)[:, None]) \
         * math.exp(0.5 * T)
-    assert float(np.sum(np.abs(sol.rho_at(T) - exact) * _w(mn))) < 5e-2
-
-
-@pytest.mark.parametrize("n_m, dt", [(30, 0.05), (120, 0.0125)])
-def test_lm_decay_pull_keeps_the_mass_at_the_box_edge(n_m, dt):
-    # the law reaches the upper box edge, whose cell the decay pull's
-    # outermost in-box target falls short of; with a zero jump nothing
-    # leaves the box, so the mass stays 1.  A pull that kept only the mass
-    # between its in-box targets held 0.869 and 0.970 at T = 1
-    spec = _spec(f=mdl.IntensitySpec(family="constant", f_min=0.5, f_max=0.5),
-                 jump=mdl.JumpSpec(family="translation", alpha_vec=(0.0,)),
-                 init=mdl.InitialLaw(age=("exponential", 1.0),
-                                     mem=(("uniform", -1.0, 0.5),)))
-    sol = pde.solve_lm_pde(spec, (-2.5,), (0.5,), (n_m,), 1.0, dt)
-    assert abs(sol.mass_trace[-1] - 1.0) <= 1e-12
+    assert float(np.sum(np.abs(rho_at(T) - exact) * _w(mn))) < 5e-2
 
 
 def test_lm_translation_monte_carlo_histogram():
     # M_T = M0 e^{-Lam T} + alpha sum_k e^{-Lam (T - T_k)} with Poisson times
     lam_m, lam_f, alpha, T = 0.5, 1.2, -0.3, 2.0
-    spec = _spec(jump=mdl.JumpSpec(family="translation", alpha_vec=(alpha,)),
-                 init=mdl.InitialLaw(age=("exponential", 1.0),
-                                     mem=(("truncnorm", -0.5, 0.4, -1.8, 0.6),)),
-                 Lambda=(lam_m,),
-                 f=mdl.IntensitySpec(family="constant", f_min=lam_f, f_max=lam_f))
-    sol = pde.solve_lm_pde(spec, (-2.8,), (0.8,), (240,), T, 0.01,
-                           save_times=(T,))
+    spec = _lm_spec(lam_m, lam_f, alpha)
+    mn, rho_at = _memory_density(spec, 10.0, 240, T, 0.01, (T,))
     rng = np.random.default_rng(5)
     n = 400_000
     K = rng.poisson(lam_f * T, n)
@@ -879,75 +866,57 @@ def test_lm_translation_monte_carlo_histogram():
     m0 = spec.init_law.sample(rng, n)[1][:, 0]
     vals = m0 * math.exp(-lam_m * T) \
         + alpha * np.sum(np.exp(-lam_m * (T - U)) * live, axis=1)
-    mn = sol.m_nodes_list[0]
     dm = mn[1] - mn[0]
     edges = np.concatenate([[mn[0] - 0.5 * dm], 0.5 * (mn[:-1] + mn[1:]),
                             [mn[-1] + 0.5 * dm]])
     hist = np.histogram(vals, bins=edges)[0] / n
-    assert float(np.sum(np.abs(hist - sol.rho_at(T) * _w(mn)))) < 5e-2
+    assert float(np.sum(np.abs(hist - rho_at(T) * _w(mn)))) < 5e-2
 
 
 def test_lm_generator_identity():
     # d/dt int G rho = int L(G) rho for G(m) = m^2, with
     # L(G) = -Lam m G' + f (G(gamma(m)) - G(m))
     lam_m, lam_f, alpha = 1.0, 1.2, -0.3
-    spec = _spec(jump=mdl.JumpSpec(family="translation", alpha_vec=(alpha,)),
-                 init=mdl.InitialLaw(age=("exponential", 1.0),
-                                     mem=(("truncnorm", -0.5, 0.4, -1.8, 0.6),)),
-                 Lambda=(lam_m,),
-                 f=mdl.IntensitySpec(family="constant", f_min=lam_f, f_max=lam_f))
-    sol = pde.solve_lm_pde(spec, (-2.8,), (0.8,), (1920,), 0.6, 0.00125,
-                           save_times=(0.4, 0.5, 0.6))
-    mn = sol.m_nodes_list[0]
+    spec = _lm_spec(lam_m, lam_f, alpha)
+    mn, rho_at = _memory_density(spec, 8.0, 480, 0.6, 0.005, (0.4, 0.5, 0.6))
     wm = _w(mn)
     G = mn ** 2
-    dG = (float(np.sum(G * sol.rho_at(0.6) * wm))
-          - float(np.sum(G * sol.rho_at(0.4) * wm))) / 0.2
+    dG = (float(np.sum(G * rho_at(0.6) * wm))
+          - float(np.sum(G * rho_at(0.4) * wm))) / 0.2
     LG = -2.0 * lam_m * mn * mn + lam_f * ((mn + alpha) ** 2 - mn ** 2)
-    rhs = float(np.sum(LG * sol.rho_at(0.5) * wm))
+    rhs = float(np.sum(LG * rho_at(0.5) * wm))
     assert abs(dG - rhs) / abs(rhs) < 1e-2
-
-
-def test_lm_rejects_age_dependent_intensity():
-    spec = _spec(f=mdl.IntensitySpec(family="sigmoid-affine", f_min=0.3,
-                                     f_max=1.0, c_a=1.0, c_x=0.0, c_m=(0.0,),
-                                     b=0.0))
-    with pytest.raises(mdl.ConfigurationError):
-        pde.solve_lm_pde(spec, (-2.0,), (0.5,), (50,), 1.0, 0.01)
 
 
 @pytest.mark.parametrize("saves", [(0.15,), (0.2, 0.5), (-0.1,)])
 def test_solvers_reject_save_times_off_the_steps(saves):
-    # the marches save only at step times in [0, T]; any other save time
+    # the march saves only at step times in [0, T]; any other save time
     # would be dropped without a word
     spec = presets.preset("plain-hawkes")
     g = pde.Grid(a_max=2.0, n_a=20, m_lo=(-1.0,), m_hi=(1.0,), n_m=(20,),
                  T=0.3, dt=0.1)
     with pytest.raises(mdl.ConfigurationError, match="save time"):
         pde.solve_alm_pde(spec, g, save_times=saves)
-    with pytest.raises(mdl.ConfigurationError, match="save time"):
-        pde.solve_lm_pde(spec, (-1.0,), (1.0,), (20,), 0.3, 0.1,
-                         save_times=saves)
 
 
 @pytest.mark.parametrize("T, dt", [(1.0, 0.3), (1.0, 3.0), (0.0, 0.1)])
 def test_lm_dt_must_divide_T(T, dt):
-    # T 1 with dt 0.3 ended the march at 0.9, and dt 3 or T 0 returned a
-    # one-knot XPath
-    spec = presets.preset("plain-hawkes")
-    with pytest.raises(mdl.ConfigurationError, match="dt must divide T"):
-        pde.solve_lm_pde(spec, (-1.0,), (1.0,), (20,), T, dt)
+    # the grid of the march, which gives the memory-only density too: T 1
+    # with dt 0.3 would end it at 0.9, and dt 3 or T 0 return a one-knot XPath
     with pytest.raises(mdl.ConfigurationError, match="dt must divide T"):
         pde.Grid(a_max=6.0, n_a=2, m_lo=(-1.0,), m_hi=(1.0,), n_m=(20,),
                  T=T, dt=dt)
 
 
-def test_lm_rejects_zero_initial_mass():
-    # the same error as solve_alm_pde, not a march of NaN
-    spec = presets.preset("plain-hawkes")
+@pytest.mark.parametrize("u0", [lambda A, mesh: np.zeros(mesh.shape[:-1]),
+                                lambda A, mesh: -np.ones(mesh.shape[:-1])],
+                         ids=["zero", "negative"])
+def test_solver_rejects_nonpositive_initial_mass(u0):
+    # not a march of NaN
+    g = pde.Grid(a_max=2.0, n_a=20, m_lo=(-1.0,), m_hi=(1.0,), n_m=(40,),
+                 T=0.2, dt=0.02)
     with pytest.raises(mdl.ConfigurationError, match="nonpositive mass"):
-        pde.solve_lm_pde(spec, (-1.0,), (1.0,), (40,), 0.2, 0.02,
-                         u0=lambda mesh: np.zeros(mesh.shape[:-1]))
+        pde.solve_alm_pde(presets.preset("plain-hawkes"), g, u0=u0)
 
 
 # ---------------------------------------------------------------------------
